@@ -1,5 +1,5 @@
 """Multi-objective dispatch policy toolkit for a combined-heat-and-power
-microgrid: fitted component models, an hourly dispatch simulator, an
+microgrid: fitted component models, an hourly dispatch kernel, an
 epsilon-archive evolutionary policy search over cost, emissions, and heat
 waste, and a time-varying sensitivity analysis of trained policies."""
 
@@ -15,11 +15,10 @@ from .grid_model import (  # noqa: F401
 )
 from .environment import (  # noqa: F401
     Action,
-    EvaluationResult,
+    Dispatch,
     HiddenState,
     ObservableState,
-    clamp_action,
-    evaluate_policy,
+    dispatch,
     simulate_day,
 )
 from .policy import InputNormalization, PolicyNetwork  # noqa: F401

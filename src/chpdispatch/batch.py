@@ -1,14 +1,11 @@
-"""Vectorized policy evaluation for the optimizer's inner loop.
+"""Policy evaluation for the optimizer's inner loop.
 
-``simulate_day`` in :mod:`.environment` is the readable reference; a
-derivative-free search needs tens of thousands of policy evaluations, so
-this module evaluates one genome over a whole scenario ensemble with numpy
-array operations instead of per-hour Python objects.  The observable inputs
-do not depend on past actions, so every hour's network output is computed
-in two matrix multiplies up front; only the CHP power windows (which ramp
-against the previous hour) stay sequential.
-
-The tests pin this path to the scalar reference at 1e-9 on every objective.
+A derivative-free search needs tens of thousands of policy evaluations, so
+this module stacks a scenario ensemble into arrays once and then maps each
+genome to its ensemble objectives with one forward pass over every
+(scenario, hour) and one call of the dispatch kernel in
+:mod:`.environment`.  The observable inputs do not depend on past actions,
+so the whole day's network outputs are computed up front.
 """
 
 from __future__ import annotations
@@ -17,23 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import (
-    HEAT_SATISFACTION_FLOOR,
-    HOURS_PER_DAY,
-    RELIABLE_HOURS_REQUIRED,
-    decision_dim,
-    default_initial_action,
-)
-from .grid_model import LB_PER_METRIC_TON, MicrogridConfig
-from .policy import InputNormalization, PolicyNetwork, sigmoid, weight_count
+from .environment import day_arrays, day_objectives, decision_dim, dispatch, observations
+from .grid_model import MicrogridConfig
+from .policy import InputNormalization, PolicyNetwork, weight_count
 
 
 class BatchEvaluator:
     """Callable mapping a flat weight genome to (objectives, violation).
 
-    Precomputes the normalized policy-input matrix and the hidden-state
-    arrays once; each call then costs two matmuls plus elementwise work.
-    Instances are read-only after construction and safe to share.
+    Precomputes the normalized policy inputs and the scenario arrays once;
+    each call then costs two matmuls plus the kernel's elementwise work.  Instances are
+    read-only after construction and safe to share.
     """
 
     def __init__(
@@ -43,44 +34,13 @@ class BatchEvaluator:
         normalization: InputNormalization,
         hidden_dim: int = 15,
     ):
-        if len(scenarios) == 0:
-            raise ValueError("scenario list must be nonempty")
         self.config = config
         self.normalization = normalization
         self.hidden_dim = hidden_dim
         self.input_dim = len(normalization.offsets)
         self.output_dim = decision_dim(config)
-        self.n_scenarios = len(scenarios)
-
-        raw = np.array(
-            [rec.observable.as_vector() for sc in scenarios for rec in sc.hours]
-        )  # (S*24, input_dim)
-        self.inputs = normalization.normalize(raw)
-
-        shape = (self.n_scenarios, HOURS_PER_DAY)
-        self.electric_load = np.empty(shape)
-        self.heat_load = np.empty(shape)
-        self.solar = np.empty(shape)
-        self.hydro = np.empty(shape)
-        self.rt_price = np.empty(shape)
-        self.gas_price = np.empty(shape)
-        for s, sc in enumerate(scenarios):
-            for t, rec in enumerate(sc.hours):
-                hid = rec.hidden
-                self.electric_load[s, t] = hid.electric_load
-                self.heat_load[s, t] = hid.heat_load
-                self.solar[s, t] = hid.solar_output
-                self.hydro[s, t] = hid.hydro_output
-                self.rt_price[s, t] = hid.rt_price
-                self.gas_price[s, t] = rec.gas_price
-
-        nc = len(config.chp)
-        self.init_power = np.empty((self.n_scenarios, nc))
-        for s, sc in enumerate(scenarios):
-            start = sc.initial_action or default_initial_action(config)
-            for i in range(nc):
-                on = start.chp_on[i] and start.chp_power[i] > 0.0
-                self.init_power[s, i] = start.chp_power[i] if on else 0.0
+        self.days = day_arrays(scenarios, config)  # rejects an empty list
+        self.inputs = normalization.normalize(observations(scenarios))
 
     @property
     def genome_length(self) -> int:
@@ -98,114 +58,9 @@ class BatchEvaluator:
 
     def decisions(self, genome: np.ndarray) -> np.ndarray:
         """Network outputs for every (scenario, hour), shape (S, 24, k)."""
-        genome = np.asarray(genome, dtype=float)
-        if genome.shape != (self.genome_length,):
-            raise ValueError(f"expected genome of length {self.genome_length}")
-        ni, nh, no = self.input_dim, self.hidden_dim, self.output_dim
-        w1 = genome[: ni * nh].reshape(nh, ni)
-        b1 = genome[ni * nh : ni * nh + nh]
-        off = ni * nh + nh
-        w2 = genome[off : off + nh * no].reshape(no, nh)
-        b2 = genome[off + nh * no :]
-        hidden = sigmoid(self.inputs @ w1.T + b1)
-        u = sigmoid(hidden @ w2.T + b2)
-        return u.reshape(self.n_scenarios, HOURS_PER_DAY, no)
+        return self.policy(genome).forward_normalized(self.inputs)
 
     def __call__(self, genome: np.ndarray) -> tuple[np.ndarray, float]:
-        cfg = self.config
-        nc = len(cfg.chp)
-        u = self.decisions(genome)
-        S = self.n_scenarios
-
-        commit_units = cfg.commitment_units
-        on = {
-            unit: u[:, :, 2 * nc + 1 + j] >= 0.5 for j, unit in enumerate(commit_units)
-        }
-        always = np.ones((S, HOURS_PER_DAY), dtype=bool)
-
-        # Steam maps onto static limits; off units produce nothing.
-        steam = np.empty((S, HOURS_PER_DAY, nc))
-        for i, params in enumerate(cfg.chp):
-            q = params.q_min + u[:, :, nc + i] * (params.q_max - params.q_min)
-            q = np.minimum(np.maximum(q, params.q_min), params.q_max)
-            steam[:, :, i] = np.where(on.get(f"chp{i + 1}", always), q, 0.0)
-        b = cfg.boiler
-        qb = b.q_min + u[:, :, 2 * nc] * (b.q_max - b.q_min)
-        qb = np.minimum(np.maximum(qb, b.q_min), b.q_max)
-        boiler_on = on.get("boiler", always)
-        qb = np.where(boiler_on, qb, 0.0)
-
-        # CHP power is sequential: each hour's window ramps off the last.
-        power = np.empty((S, HOURS_PER_DAY, nc))
-        prev = self.init_power.copy()
-        for t in range(HOURS_PER_DAY):
-            for i, params in enumerate(cfg.chp):
-                was_on = prev[:, i] > 0.0
-                lo = np.where(
-                    was_on, np.maximum(params.p_min, prev[:, i] + params.ramp_down), params.p_min
-                )
-                hi = np.where(
-                    was_on,
-                    np.minimum(params.p_max, prev[:, i] + params.ramp_up),
-                    min(params.p_max, params.p_min + params.ramp_up),
-                )
-                p = lo + u[:, t, i] * (hi - lo)
-                p = np.minimum(np.maximum(p, lo), hi)
-                p = np.where(on.get(f"chp{i + 1}", always)[:, t], p, 0.0)
-                power[:, t, i] = p
-                prev[:, i] = p
-
-        # Same associativity as the scalar path: q1 + q2 + ... + qb.
-        steam_total = steam[:, :, 0]
-        for i in range(1, nc):
-            steam_total = steam_total + steam[:, :, i]
-        steam_total = steam_total + qb
-
-        st = cfg.steam_turbine
-        st_power = np.where(
-            steam_total > st.c_s,
-            st.a1_s * steam_total + st.b1_s,
-            st.a2_s * steam_total + st.b2_s,
-        )
-
-        chp_sum = power[:, :, 0]
-        for i in range(1, nc):
-            chp_sum = chp_sum + power[:, :, i]
-        p_e = self.electric_load - chp_sum - st_power - self.hydro - self.solar
-
-        gas = np.zeros((S, HOURS_PER_DAY))
-        for i, params in enumerate(cfg.chp):
-            p = power[:, :, i]
-            running = p > 0.0
-            ratio = p / params.p_max
-            eff = params.a_c + params.b_c * ratio + params.c_c * ratio * ratio
-            if np.any(running & (eff <= 0.0)):
-                raise ValueError("fitted efficiency is non-positive at a dispatched point")
-            denom = params.heating_value * np.where(running, eff, 1.0)
-            fuel_p = np.where(running, p / denom, 0.0)
-            fuel_q = np.maximum(params.a_q * steam[:, :, i] - params.b_q, 0.0)
-            gas = gas + (fuel_p + fuel_q)
-        boiler_gas = np.where(boiler_on, b.a_b * qb * qb + b.b_b * qb + b.c_b, 0.0)
-        gas = gas + boiler_gas
-
-        cost = gas * self.gas_price + p_e * self.rt_price
-        emission = gas * cfg.emission.gas_emission_rate + (
-            cfg.emission.grid_emission_factor * np.maximum(p_e, 0.0)
-        )
-        has_heat = self.heat_load > 0.0
-        ratio = steam_total / np.where(has_heat, self.heat_load, 1.0)
-        waste = np.where(
-            has_heat, ratio > cfg.emission.heat_waste_threshold, steam_total > 0.0
-        )
-        reliable = np.where(has_heat, ratio >= HEAT_SATISFACTION_FLOOR, True)
-
-        day_cost = cost.sum(axis=1)
-        day_emission = emission.sum(axis=1) / LB_PER_METRIC_TON
-        day_waste = waste.sum(axis=1).astype(float)
-        fraction = reliable.sum(axis=1) / HOURS_PER_DAY
-        violation = np.maximum(0.0, RELIABLE_HOURS_REQUIRED / HOURS_PER_DAY - fraction)
-
-        objectives = np.array(
-            [day_cost.mean(), day_emission.mean(), day_waste.mean()]
-        )
-        return objectives, float(violation.mean())
+        trace = dispatch(self.decisions(genome), self.days, self.config)
+        objectives, violation = day_objectives(trace)
+        return objectives.mean(axis=1), float(violation.mean())

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +28,15 @@ import numpy as np
 from . import __version__
 from .batch import BatchEvaluator
 from .data import ScenarioLoadError, load_scenarios
-from .environment import decision_dim, decision_names, export_trace, simulate_day
+from .environment import (
+    day_arrays,
+    day_objectives,
+    decision_dim,
+    decision_names,
+    dispatch,
+    export_trace,
+    observations,
+)
 from .grid_model import (
     MicrogridConfig,
     config_from_dict,
@@ -36,7 +45,6 @@ from .grid_model import (
     load_config,
 )
 from .moea import (
-    EpsilonArchive,
     MoeaConfig,
     merge_archives,
     read_archive_csv,
@@ -116,30 +124,6 @@ def _parse_epsilons(text: str) -> tuple[float, ...]:
     return values
 
 
-def _train_one_seed(
-    scenarios_path: str,
-    config_path: str | None,
-    hidden_dim: int,
-    epsilons: tuple[float, ...],
-    nfe: int,
-    population: int,
-    bound: float,
-    seed: int,
-) -> EpsilonArchive:
-    scenarios = load_scenarios(scenarios_path)
-    config = _resolve_config(config_path)[0]
-    normalization = InputNormalization.from_scenarios(scenarios)
-    evaluator = BatchEvaluator(scenarios, config, normalization, hidden_dim=hidden_dim)
-    moea_config = MoeaConfig(
-        genome_length=evaluator.genome_length,
-        epsilons=epsilons,
-        max_nfe=nfe,
-        population_size=population,
-        bound=bound,
-    )
-    return run(moea_config, evaluator, seed)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     scenarios_path = Path(args.scenarios)
@@ -150,23 +134,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
     normalization = InputNormalization.from_scenarios(scenarios)
     evaluator = BatchEvaluator(scenarios, config, normalization, hidden_dim=args.hidden)
 
+    moea_config = MoeaConfig(
+        genome_length=evaluator.genome_length,
+        epsilons=epsilons,
+        max_nfe=args.nfe,
+        population_size=args.population,
+        bound=args.bound,
+    )
+
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("CHPDISPATCH_WORKERS", "1"))
-    job = (
-        str(scenarios_path),
-        args.config,
-        args.hidden,
-        epsilons,
-        args.nfe,
-        args.population,
-        args.bound,
-    )
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            archives = list(pool.map(_train_one_seed, *zip(*[job + (s,) for s in seeds])))
+            archives = list(pool.map(run, repeat(moea_config), repeat(evaluator), seeds))
     else:
-        archives = [_train_one_seed(*job, s) for s in seeds]
+        archives = [run(moea_config, evaluator, s) for s in seeds]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -318,23 +301,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     policy, config, inputs = _policy_from_args(args)
     _check_architecture(policy, config)
 
-    evaluator = BatchEvaluator(
-        scenarios, config, policy.normalization, hidden_dim=policy.hidden_dim
+    trace = dispatch(
+        policy.forward(observations(scenarios)), day_arrays(scenarios, config), config
     )
-    objectives, violation = evaluator(policy.encode())
+    day_obj, day_violation = day_objectives(trace)
+    objectives, violation = day_obj.mean(axis=1), float(day_violation.mean())
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("trace_*.csv"):
+        stale.unlink()
     outputs: list[Path] = []
     doc = {name: float(v) for name, v in zip(OBJECTIVE_NAMES, objectives)}
     doc["violation"] = violation
     objective_path = out / "objectives.json"
     _write_json(objective_path, doc)
     outputs.append(objective_path)
-    for scenario in scenarios:
-        day = simulate_day(policy, scenario, config)
+    for s, scenario in enumerate(scenarios):
         trace_path = out / f"trace_{scenario.label}.csv"
-        export_trace(day.trace, trace_path)
+        export_trace(trace, s, trace_path)
         outputs.append(trace_path)
     print(
         "cost={!r} emission={!r} heat_waste={!r} violation={!r}".format(

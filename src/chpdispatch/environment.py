@@ -1,11 +1,13 @@
-"""Hourly dispatch environment for the microgrid.
+"""Hourly dispatch kernel for the microgrid.
 
-Wires the component models into a sequential decision process: a policy
-emits normalized decisions in [0, 1], which are mapped onto the feasible
-window of each unit (ramp limits anchored at the previous hour), the grid
-exchange closes the electric balance exactly, and three per-hour rewards
-(cost, emissions, heat-waste indicator) plus the heat-reliability
-constraint are accumulated over a 24-hour day.
+Wires the component models into a sequential decision process over a whole
+ensemble of scenario-days at once: normalized policy decisions in [0, 1]
+are mapped onto the feasible window of each unit (ramp limits anchored at
+the previous hour), the grid exchange closes the electric balance exactly,
+and every hour records its cost, emissions, heat-waste flag and heat
+reliability.  :func:`dispatch` is the one simulator; training reduces its
+per-hour arrays to daily objectives with :func:`day_objectives`, and
+``evaluate`` writes its traces from the same arrays.
 
 Decision-vector layout for ``nc`` CHP units (see :func:`decision_names`):
 
@@ -22,20 +24,13 @@ different policies or scenarios can run concurrently without shared state.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid_model import (
-    LB_PER_METRIC_TON,
-    MicrogridConfig,
-    grid_exchange_cost,
-    steam_turbine_power,
-    total_gas,
-)
+from .grid_model import LB_PER_METRIC_TON, MicrogridConfig
 
 #: Exogenous signals a policy can observe, in decision-vector order.
 OBSERVABLE_SIGNALS = (
@@ -103,7 +98,8 @@ class HiddenState:
 
 @dataclass(frozen=True)
 class Action:
-    """One hour's dispatch decision; off units hold their outputs at zero."""
+    """One hour's dispatch state, used as the state a scenario day starts
+    from; off units hold their outputs at zero."""
 
     chp_power: tuple[float, ...]
     chp_steam: tuple[float, ...]
@@ -121,46 +117,6 @@ class Action:
                 raise ValueError(f"off CHP {i + 1} must have zero power and steam")
         if not self.boiler_on and self.boiler_steam != 0.0:
             raise ValueError("off boiler must have zero steam")
-
-    @property
-    def steam_total(self) -> float:
-        total = 0.0
-        for q in self.chp_steam:
-            total += q
-        return total + self.boiler_steam
-
-
-@dataclass(frozen=True)
-class HourOutcome:
-    """Everything the simulator records about one dispatched hour."""
-
-    action: Action
-    st_power: float  # kW recovered by the steam turbine
-    exchange: float  # kW at the grid tie, positive = purchase
-    cost: float  # $
-    emission_lb: float
-    heat_waste_flag: int
-    heat_satisfaction: float  # steam delivered / heat load
-    reliability_flag: int
-
-
-class DayResult(NamedTuple):
-    objectives: np.ndarray  # (cost $, emission MT, heat-waste indicator sum)
-    violation: float
-    trace: list[HourOutcome]
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Objectives averaged over a scenario ensemble.
-
-    ``violation`` is zero exactly when the heat-reliability constraint held
-    on every scenario.
-    """
-
-    objectives: np.ndarray
-    violation: float
-    per_hour_trace: list[list[HourOutcome]] | None = None
 
 
 def decision_dim(config: MicrogridConfig) -> int:
@@ -189,119 +145,205 @@ def default_initial_action(config: MicrogridConfig) -> Action:
     )
 
 
-def clamp_action(u: Sequence[float], prev: Action, config: MicrogridConfig) -> Action:
-    """Convert normalized decisions into a feasible :class:`Action`.
+def observations(scenarios: Sequence) -> np.ndarray:
+    """Raw policy inputs of every (scenario, hour), shape (S, 24, 6)."""
+    return np.array([[rec.observable.as_vector() for rec in sc.hours] for sc in scenarios])
+
+
+class Days(NamedTuple):
+    """Exogenous arrays of S scenario-days; hourly fields are (S, 24)."""
+
+    electric_load: np.ndarray  # kW
+    heat_load: np.ndarray  # klb/h
+    solar: np.ndarray  # kW
+    hydro: np.ndarray  # kW
+    rt_price: np.ndarray  # $/kWh
+    gas_price: np.ndarray  # $/dth
+    init_power: np.ndarray  # (S, nc) kW each day starts from; 0 = unit off
+
+
+def day_arrays(scenarios: Sequence, config: MicrogridConfig) -> Days:
+    """Stack a scenario list into :class:`Days`; a day without its own
+    initial state starts from :func:`default_initial_action`."""
+    if len(scenarios) == 0:
+        raise ValueError("scenario list must be nonempty")
+
+    def hourly(value) -> np.ndarray:
+        return np.array([[value(rec) for rec in sc.hours] for sc in scenarios], dtype=float)
+
+    def start_power(sc) -> list[float]:
+        start = sc.initial_action or default_initial_action(config)
+        return [p if on and p > 0.0 else 0.0 for p, on in zip(start.chp_power, start.chp_on)]
+
+    return Days(
+        electric_load=hourly(lambda rec: rec.hidden.electric_load),
+        heat_load=hourly(lambda rec: rec.hidden.heat_load),
+        solar=hourly(lambda rec: rec.hidden.solar_output),
+        hydro=hourly(lambda rec: rec.hidden.hydro_output),
+        rt_price=hourly(lambda rec: rec.hidden.rt_price),
+        gas_price=hourly(lambda rec: rec.gas_price),
+        init_power=np.array([start_power(sc) for sc in scenarios], dtype=float),
+    )
+
+
+class Dispatch(NamedTuple):
+    """Per-hour dispatch of S scenario-days; every field leads with (S, 24)."""
+
+    power: np.ndarray  # (S, 24, nc) CHP electric output, kW
+    steam: np.ndarray  # (S, 24, nc) CHP steam, klb/h
+    boiler_steam: np.ndarray  # klb/h
+    chp_on: np.ndarray  # (S, 24, nc) commitment flags
+    boiler_on: np.ndarray
+    st_power: np.ndarray  # kW recovered by the steam turbine
+    exchange: np.ndarray  # kW at the grid tie, positive = purchase
+    cost: np.ndarray  # $
+    emission_lb: np.ndarray
+    waste: np.ndarray  # heat-waste flag
+    heat_satisfaction: np.ndarray  # steam / heat load; at zero load inf with steam, else 1
+    reliable: np.ndarray  # >= 95 % of the heat load met
+
+
+def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
+    """Map decisions ``u`` of shape (S, 24, k) onto the plant, hour by hour.
 
     CHP power maps affinely onto the ramp-and-capacity window anchored at
     the previous hour; a unit that was off re-enters through the window
     anchored at p_min (ramping across an off period is waived).  Steam maps
     onto the static steam limits.  Commitment outputs at or above 0.5 turn a
-    switchable unit on; an off unit's continuous outputs are forced to zero.
+    switchable unit on; an off unit's continuous outputs are zero.  Cost is
+    gas burned at the gas price plus the signed grid exchange at the
+    real-time price; emissions combine local combustion with purchased
+    power (exports earn no credit).  An hour wastes heat when steam exceeds
+    the heat load by more than the threshold ratio, or, at zero heat load,
+    when it raises any steam at all.
     """
-    u = np.asarray(u, dtype=float)
-    k = decision_dim(config)
-    if u.shape != (k,):
-        raise ValueError(f"expected {k} decisions, got shape {u.shape}")
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    cfg = config
+    nc = len(cfg.chp)
+    S = len(days.init_power)
+    k = decision_dim(cfg)
+    if u.shape != (S, HOURS_PER_DAY, k):
+        raise ValueError(f"expected decisions of shape {(S, HOURS_PER_DAY, k)}, got {u.shape}")
+    if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("decisions must lie in [0, 1]")
 
-    nc = len(config.chp)
-    commit_units = config.commitment_units
-    on = {unit: bool(u[2 * nc + 1 + j] >= 0.5) for j, unit in enumerate(commit_units)}
+    commit_units = cfg.commitment_units
+    on = {unit: u[:, :, 2 * nc + 1 + j] >= 0.5 for j, unit in enumerate(commit_units)}
+    always = np.ones((S, HOURS_PER_DAY), dtype=bool)
+    chp_on = [on.get(f"chp{i + 1}", always) for i in range(nc)]
 
-    chp_power = []
-    chp_steam = []
-    chp_on = []
-    for i, params in enumerate(config.chp):
-        unit = f"chp{i + 1}"
-        unit_on = on.get(unit, True)
-        chp_on.append(unit_on)
-        if not unit_on:
-            chp_power.append(0.0)
-            chp_steam.append(0.0)
-            continue
-        if prev.chp_on[i] and prev.chp_power[i] > 0.0:
-            lo = max(params.p_min, prev.chp_power[i] + params.ramp_down)
-            hi = min(params.p_max, prev.chp_power[i] + params.ramp_up)
-        else:
-            lo = params.p_min
-            hi = min(params.p_max, params.p_min + params.ramp_up)
-        assert lo <= hi, "feasible power window collapsed"
-        p = lo + u[i] * (hi - lo)
-        chp_power.append(float(min(max(p, lo), hi)))
-        q = params.q_min + u[nc + i] * (params.q_max - params.q_min)
-        chp_steam.append(float(min(max(q, params.q_min), params.q_max)))
+    # Steam maps onto static limits; off units produce nothing.
+    steam = np.empty((S, HOURS_PER_DAY, nc))
+    for i, params in enumerate(cfg.chp):
+        q = params.q_min + u[:, :, nc + i] * (params.q_max - params.q_min)
+        q = np.minimum(np.maximum(q, params.q_min), params.q_max)
+        steam[:, :, i] = np.where(chp_on[i], q, 0.0)
+    b = cfg.boiler
+    qb = b.q_min + u[:, :, 2 * nc] * (b.q_max - b.q_min)
+    qb = np.minimum(np.maximum(qb, b.q_min), b.q_max)
+    boiler_on = on.get("boiler", always)
+    qb = np.where(boiler_on, qb, 0.0)
 
-    boiler_on = on.get("boiler", True)
-    if boiler_on:
-        b = config.boiler
-        qb = b.q_min + u[2 * nc] * (b.q_max - b.q_min)
-        boiler_steam = float(min(max(qb, b.q_min), b.q_max))
-    else:
-        boiler_steam = 0.0
+    # CHP power is sequential: each hour's window ramps off the last.
+    power = np.empty((S, HOURS_PER_DAY, nc))
+    prev = days.init_power.copy()
+    for t in range(HOURS_PER_DAY):
+        for i, params in enumerate(cfg.chp):
+            was_on = prev[:, i] > 0.0
+            lo = np.where(
+                was_on, np.maximum(params.p_min, prev[:, i] + params.ramp_down), params.p_min
+            )
+            hi = np.where(
+                was_on,
+                np.minimum(params.p_max, prev[:, i] + params.ramp_up),
+                min(params.p_max, params.p_min + params.ramp_up),
+            )
+            p = lo + u[:, t, i] * (hi - lo)
+            p = np.minimum(np.maximum(p, lo), hi)
+            p = np.where(chp_on[i][:, t], p, 0.0)
+            power[:, t, i] = p
+            prev[:, i] = p
 
-    return Action(
-        chp_power=tuple(chp_power),
-        chp_steam=tuple(chp_steam),
-        boiler_steam=boiler_steam,
-        chp_on=tuple(chp_on),
+    # Summation order q1 + q2 + ... + qb, as in the independent oracle.
+    steam_total = steam[:, :, 0]
+    for i in range(1, nc):
+        steam_total = steam_total + steam[:, :, i]
+    steam_total = steam_total + qb
+
+    st = cfg.steam_turbine
+    st_power = np.where(
+        steam_total > st.c_s,
+        st.a1_s * steam_total + st.b1_s,
+        st.a2_s * steam_total + st.b2_s,
+    )
+
+    chp_sum = power[:, :, 0]
+    for i in range(1, nc):
+        chp_sum = chp_sum + power[:, :, i]
+    p_e = days.electric_load - chp_sum - st_power - days.hydro - days.solar
+
+    gas = np.zeros((S, HOURS_PER_DAY))
+    for i, params in enumerate(cfg.chp):
+        p = power[:, :, i]
+        running = p > 0.0
+        ratio = p / params.p_max
+        eff = params.a_c + params.b_c * ratio + params.c_c * ratio * ratio
+        if np.any(running & (eff <= 0.0)):
+            raise ValueError("fitted efficiency is non-positive at a dispatched point")
+        denom = params.heating_value * np.where(running, eff, 1.0)
+        fuel_p = np.where(running, p / denom, 0.0)
+        fuel_q = np.maximum(params.a_q * steam[:, :, i] - params.b_q, 0.0)
+        gas = gas + (fuel_p + fuel_q)
+    boiler_gas = np.where(boiler_on, b.a_b * qb * qb + b.b_b * qb + b.c_b, 0.0)
+    gas = gas + boiler_gas
+
+    cost = gas * days.gas_price + p_e * days.rt_price
+    emission = gas * cfg.emission.gas_emission_rate + (
+        cfg.emission.grid_emission_factor * np.maximum(p_e, 0.0)
+    )
+    has_heat = days.heat_load > 0.0
+    ratio = steam_total / np.where(has_heat, days.heat_load, 1.0)
+    waste = np.where(has_heat, ratio > cfg.emission.heat_waste_threshold, steam_total > 0.0)
+    satisfaction = np.where(has_heat, ratio, np.where(steam_total > 0.0, np.inf, 1.0))
+    return Dispatch(
+        power=power,
+        steam=steam,
+        boiler_steam=qb,
+        chp_on=np.stack(chp_on, axis=-1),
         boiler_on=boiler_on,
+        st_power=st_power,
+        exchange=p_e,
+        cost=cost,
+        emission_lb=emission,
+        waste=waste,
+        heat_satisfaction=satisfaction,
+        reliable=satisfaction >= HEAT_SATISFACTION_FLOOR,
     )
 
 
-def close_load_balance(action: Action, st_power: float, hidden: HiddenState) -> float:
-    """Grid exchange (kW) that balances the electric load exactly.
+def day_objectives(d: Dispatch) -> tuple[np.ndarray, np.ndarray]:
+    """Per-day objectives, shape (3, S): cost $, emissions in metric tonnes
+    and heat-waste hours; and per-day violation, shape (S,): the shortfall
+    of the reliable-hour fraction below 22 of 24 (zero when satisfied).
 
-    Positive means purchasing from the utility, negative means selling.
+    The ensemble objectives are ``objectives.mean(axis=1)``: each row is
+    contiguous, so its mean sums in the same order as a 1-D mean.
     """
-    chp_sum = 0.0
-    for p in action.chp_power:
-        chp_sum += p
-    return (
-        hidden.electric_load
-        - chp_sum
-        - st_power
-        - hidden.hydro_output
-        - hidden.solar_output
+    objectives = np.array(
+        [
+            d.cost.sum(axis=1),
+            d.emission_lb.sum(axis=1) / LB_PER_METRIC_TON,
+            d.waste.sum(axis=1).astype(float),
+        ]
     )
+    fraction = d.reliable.sum(axis=1) / HOURS_PER_DAY
+    violation = np.maximum(0.0, RELIABLE_HOURS_REQUIRED / HOURS_PER_DAY - fraction)
+    return objectives, violation
 
 
-def hour_rewards(
-    action: Action,
-    p_e: float,
-    hidden: HiddenState,
-    gas_price: float,
-    config: MicrogridConfig,
-) -> tuple[float, float, int]:
-    """Per-hour (cost $, emission lb, heat-waste flag).
-
-    Cost is gas burned at the gas price plus the signed grid exchange at the
-    real-time price.  Emissions combine local combustion with purchased
-    power; exports earn no emission credit.  The heat-waste flag trips when
-    steam production exceeds the heat load by more than the threshold
-    ratio; with zero heat load, any steam at all is waste.
-    """
-    gas = total_gas(action, config)
-    cost = gas * gas_price + grid_exchange_cost(p_e, hidden.rt_price)
-    emission = gas * config.emission.gas_emission_rate + (
-        config.emission.grid_emission_factor * max(p_e, 0.0)
-    )
-    steam = action.steam_total
-    if hidden.heat_load > 0.0:
-        waste = steam / hidden.heat_load > config.emission.heat_waste_threshold
-    else:
-        waste = steam > 0.0
-    return cost, emission, int(waste)
-
-
-def heat_reliability(day_trace: Sequence[HourOutcome]) -> tuple[float, float]:
-    """Fraction of hours meeting the 95 % heat-satisfaction floor, and the
-    shortfall below the required 22-of-24 hours (zero when satisfied)."""
-    if len(day_trace) != HOURS_PER_DAY:
-        raise ValueError(f"expected {HOURS_PER_DAY} hours, got {len(day_trace)}")
-    passed = sum(outcome.reliability_flag for outcome in day_trace)
-    fraction = passed / HOURS_PER_DAY
-    return fraction, max(0.0, RELIABLE_HOURS_REQUIRED / HOURS_PER_DAY - fraction)
+class DayResult(NamedTuple):
+    objectives: np.ndarray  # (cost $, emission MT, heat-waste indicator sum)
+    violation: float
+    trace: Dispatch  # one scenario-day, S = 1
 
 
 def simulate_day(policy, scenario, config: MicrogridConfig) -> DayResult:
@@ -310,61 +352,10 @@ def simulate_day(policy, scenario, config: MicrogridConfig) -> DayResult:
     Deterministic: the same (policy, scenario, config) triple always yields
     bit-identical outcomes.
     """
-    if len(scenario.hours) != HOURS_PER_DAY:
-        raise ValueError(f"scenario must have {HOURS_PER_DAY} hours")
-    prev = scenario.initial_action or default_initial_action(config)
-    trace: list[HourOutcome] = []
-    day_cost = 0.0
-    day_emission_lb = 0.0
-    day_waste = 0
-    for record in scenario.hours:
-        u = policy.forward(record.observable)
-        action = clamp_action(u, prev, config)
-        st_power = steam_turbine_power(action.steam_total, config.steam_turbine)
-        p_e = close_load_balance(action, st_power, record.hidden)
-        cost, emission_lb, waste = hour_rewards(
-            action, p_e, record.hidden, record.gas_price, config
-        )
-        steam = action.steam_total
-        heat_load = record.hidden.heat_load
-        if heat_load > 0.0:
-            satisfaction = steam / heat_load
-        else:
-            satisfaction = math.inf if steam > 0.0 else 1.0
-        reliable = satisfaction >= HEAT_SATISFACTION_FLOOR
-        trace.append(
-            HourOutcome(
-                action=action,
-                st_power=st_power,
-                exchange=p_e,
-                cost=cost,
-                emission_lb=emission_lb,
-                heat_waste_flag=waste,
-                heat_satisfaction=satisfaction,
-                reliability_flag=int(reliable),
-            )
-        )
-        day_cost += cost
-        day_emission_lb += emission_lb
-        day_waste += waste
-        prev = action
-    _, violation = heat_reliability(trace)
-    objectives = np.array([day_cost, day_emission_lb / LB_PER_METRIC_TON, float(day_waste)])
-    return DayResult(objectives=objectives, violation=violation, trace=trace)
-
-
-def evaluate_policy(
-    policy, scenarios: Sequence, config: MicrogridConfig, keep_traces: bool = False
-) -> EvaluationResult:
-    """Average the three daily objectives and the reliability violation over
-    a scenario ensemble (unweighted means)."""
-    if len(scenarios) == 0:
-        raise ValueError("scenario list must be nonempty")
-    results = [simulate_day(policy, s, config) for s in scenarios]
-    objectives = np.mean([r.objectives for r in results], axis=0)
-    violation = float(np.mean([r.violation for r in results]))
-    traces = [r.trace for r in results] if keep_traces else None
-    return EvaluationResult(objectives=objectives, violation=violation, per_hour_trace=traces)
+    u = policy.forward(observations([scenario]))
+    trace = dispatch(u, day_arrays([scenario], config), config)
+    objectives, violation = day_objectives(trace)
+    return DayResult(objectives[:, 0], float(violation[0]), trace)
 
 
 def trace_columns(nc: int) -> list[str]:
@@ -386,26 +377,25 @@ def trace_columns(nc: int) -> list[str]:
     return cols
 
 
-def export_trace(trace: Sequence[HourOutcome], path: str | Path) -> None:
+def export_trace(d: Dispatch, day: int, path: str | Path) -> None:
     """Write one day's hourly dispatch to CSV (full float precision)."""
-    nc = len(trace[0].action.chp_power)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trace_columns(nc))
-        for hour, o in enumerate(trace):
-            row: list = [hour]
-            row += [repr(float(p)) for p in o.action.chp_power]
-            row += [repr(float(q)) for q in o.action.chp_steam]
-            row.append(repr(float(o.action.boiler_steam)))
-            row += [int(on) for on in o.action.chp_on]
+        writer.writerow(trace_columns(d.power.shape[2]))
+        for t in range(HOURS_PER_DAY):
+            row: list = [t]
+            row += [repr(float(p)) for p in d.power[day, t]]
+            row += [repr(float(q)) for q in d.steam[day, t]]
+            row.append(repr(float(d.boiler_steam[day, t])))
+            row += [int(on) for on in d.chp_on[day, t]]
             row += [
-                int(o.action.boiler_on),
-                repr(float(o.st_power)),
-                repr(float(o.exchange)),
-                repr(float(o.cost)),
-                repr(float(o.emission_lb)),
-                o.heat_waste_flag,
-                repr(float(o.heat_satisfaction)),
-                o.reliability_flag,
+                int(d.boiler_on[day, t]),
+                repr(float(d.st_power[day, t])),
+                repr(float(d.exchange[day, t])),
+                repr(float(d.cost[day, t])),
+                repr(float(d.emission_lb[day, t])),
+                int(d.waste[day, t]),
+                repr(float(d.heat_satisfaction[day, t])),
+                int(d.reliable[day, t]),
             ]
             writer.writerow(row)

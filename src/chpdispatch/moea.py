@@ -64,8 +64,8 @@ class Solution:
     operator_tag: str
 
     def __post_init__(self) -> None:
-        if self.violation < 0.0:
-            raise ValueError(f"violation must be >= 0, got {self.violation}")
+        if not (math.isfinite(self.violation) and self.violation >= 0.0):
+            raise ValueError(f"violation must be finite and >= 0, got {self.violation}")
         if not np.all(np.isfinite(self.objectives)):
             raise ValueError("objectives must be finite")
 
@@ -76,6 +76,8 @@ class Solution:
 
 def box_index(objectives: Sequence[float], epsilons: Sequence[float]) -> tuple[int, ...]:
     """Epsilon-box coordinates floor(objective / epsilon), per dimension."""
+    if len(objectives) != len(epsilons):
+        raise ValueError(f"{len(epsilons)} epsilons for {len(objectives)} objectives")
     return tuple(
         math.floor(float(o) / float(e)) for o, e in zip(objectives, epsilons)
     )

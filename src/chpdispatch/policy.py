@@ -110,26 +110,38 @@ class PolicyNetwork:
         b2 = w[off + nh * no :]
         return w1, b1, w2, b2
 
-    def _input_vector(self, obs) -> np.ndarray:
+    def _raw_inputs(self, obs) -> np.ndarray:
         raw = obs.as_vector() if hasattr(obs, "as_vector") else np.asarray(obs, float)
-        if raw.shape != (self.input_dim,):
+        if raw.shape[-1:] != (self.input_dim,):
             raise ValueError(f"expected {self.input_dim} inputs, got {raw.shape}")
         return raw
 
     def forward(self, obs) -> np.ndarray:
-        """Normalized decisions in (0, 1), one per output."""
-        x = self.normalization.normalize(self._input_vector(obs))
+        """Normalized decisions in (0, 1), one per output, for one
+        observation or for every row of an array of shape (..., input_dim);
+        the result has shape (..., output_dim)."""
+        return self.forward_normalized(self.normalization.normalize(self._raw_inputs(obs)))
+
+    def forward_normalized(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on inputs already passed through the
+        normalization, so a caller that evaluates many genomes on the same
+        inputs normalizes them once."""
         w1, b1, w2, b2 = self._layers()
-        hidden = sigmoid(w1 @ x + b1)
-        return sigmoid(w2 @ hidden + b2)
+        hidden = sigmoid(x.reshape(-1, self.input_dim) @ w1.T + b1)
+        u = sigmoid(hidden @ w2.T + b2)
+        return u.reshape(x.shape[:-1] + (self.output_dim,))
 
     def input_gradient(self, obs) -> np.ndarray:
-        """Jacobian d(decision) / d(raw input), shape (output_dim, input_dim).
+        """Jacobian d(decision) / d(raw input) at one observation, shape
+        (output_dim, input_dim).
 
         Analytic chain rule through both sigmoid layers, including the
         normalization scales, so entries are per raw input unit.
         """
-        x = self.normalization.normalize(self._input_vector(obs))
+        raw = self._raw_inputs(obs)
+        if raw.ndim != 1:
+            raise ValueError(f"expected one observation, got shape {raw.shape}")
+        x = self.normalization.normalize(raw)
         w1, b1, w2, b2 = self._layers()
         hidden = sigmoid(w1 @ x + b1)
         out = sigmoid(w2 @ hidden + b2)

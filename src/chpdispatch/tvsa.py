@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import HOURS_PER_DAY, OBSERVABLE_SIGNALS, decision_names
+from .environment import HOURS_PER_DAY, OBSERVABLE_SIGNALS, decision_names, observations
 from .grid_model import MicrogridConfig
 
 N_SIGNALS = len(OBSERVABLE_SIGNALS)
@@ -130,30 +130,22 @@ class TvsaReport:
         return self.cells[(decision, hour)]
 
 
-def forced_off_mask(policy, scenarios: Sequence, config: MicrogridConfig) -> np.ndarray:
-    """(decision, hour) mask: True where a commitment output switches the
-    decision's unit off in every scenario, emptying that cell."""
+def forced_off_mask(outputs: np.ndarray, config: MicrogridConfig) -> np.ndarray:
+    """(decision, hour) mask from the policy outputs of shape (S, 24, k):
+    True where a commitment output switches the decision's unit off in
+    every scenario, emptying that cell."""
     nc = len(config.chp)
-    k = 2 * nc + 1 + len(config.commitment_units)
-    commit_index = {
-        unit: 2 * nc + 1 + j for j, unit in enumerate(config.commitment_units)
-    }
+    k = outputs.shape[2]
     owner: list[str | None] = [None] * k
     for i in range(nc):
         owner[i] = f"chp{i + 1}"
         owner[nc + i] = f"chp{i + 1}"
     owner[2 * nc] = "boiler"
 
-    off_all = {}
-    for unit, j in commit_index.items():
-        flags = np.array(
-            [
-                [policy.forward(sc.hours[t].observable)[j] < 0.5 for t in range(HOURS_PER_DAY)]
-                for sc in scenarios
-            ]
-        )
-        off_all[unit] = flags.all(axis=0)
-
+    off_all = {
+        unit: (outputs[:, :, 2 * nc + 1 + j] < 0.5).all(axis=0)
+        for j, unit in enumerate(config.commitment_units)
+    }
     mask = np.zeros((k, HOURS_PER_DAY), dtype=bool)
     for d in range(k):
         unit = owner[d]
@@ -184,18 +176,12 @@ def build_report(
         )
     if len(decision_labels) != k:
         raise ValueError("decision label count must match policy outputs")
+    outputs = policy.forward(observations(scenarios))  # (S, 24, k)
     off = (
-        forced_off_mask(policy, scenarios, config)
+        forced_off_mask(outputs, config)
         if config is not None
         else np.zeros((k, HOURS_PER_DAY), dtype=bool)
     )
-
-    outputs = np.array(
-        [
-            [policy.forward(sc.hours[t].observable) for t in range(HOURS_PER_DAY)]
-            for sc in scenarios
-        ]
-    )  # (S, 24, k)
 
     cells: dict[tuple[int, int], TvsaCell] = {}
     for t in range(HOURS_PER_DAY):

@@ -18,7 +18,7 @@ import pytest
 from chpdispatch.batch import BatchEvaluator
 from chpdispatch.cli import main
 from chpdispatch.data import SyntheticSpec, generate_synthetic, load_scenarios, write_scenarios
-from chpdispatch.environment import clamp_action, close_load_balance, simulate_day
+from chpdispatch.environment import Days, dispatch, simulate_day
 from chpdispatch.grid_model import (
     boiler_fuel,
     chp_efficiency,
@@ -102,9 +102,9 @@ def test_criterion_2_simulator_matches_independent_oracle():
 
 
 def test_criterion_3_feasibility_and_load_balance_invariants():
-    from chpdispatch.environment import Action
-    from chpdispatch.grid_model import steam_turbine_power as st_power_fn
-
+    # Each case is one hour dispatched from its own random previous state:
+    # the case's decisions and hidden state fill a one-day row of the
+    # kernel, whose initial CHP power is that previous state.
     rng = np.random.default_rng(31337)
     configs = []
     for season in ("winter", "summer"):
@@ -125,51 +125,64 @@ def test_criterion_3_feasibility_and_load_balance_invariants():
     }
 
     cases = 10_000
-    worst_residual = 0.0
+    rows = {id(cfg): [] for cfg in configs}  # (decisions, hidden record, previous power)
     for n in range(cases):
         cfg = configs[n % len(configs)]
         scenario = pools[cfg.season][int(rng.integers(10))]
         hour = int(rng.integers(24))
         policy = policies[id(cfg)][int(rng.integers(5))]
-        prev_p, prev_on = [], []
+        prev = []
         for c in cfg.chp:
             if rng.random() < 0.25:
-                prev_p.append(0.0)
-                prev_on.append(False)
+                prev.append(0.0)  # unit was off
             else:
-                prev_p.append(float(rng.uniform(c.p_min, c.p_max)))
-                prev_on.append(True)
-        prev = Action(
-            chp_power=tuple(prev_p),
-            chp_steam=tuple(0.0 for _ in cfg.chp),
-            boiler_steam=0.0,
-            chp_on=tuple(prev_on),
-            boiler_on=True,
-        )
+                prev.append(float(rng.uniform(c.p_min, c.p_max)))
         record = scenario.hours[hour]
-        action = clamp_action(policy.forward(record.observable), prev, cfg)
-        for i, c in enumerate(cfg.chp):
-            if action.chp_on[i]:
-                assert c.p_min <= action.chp_power[i] <= c.p_max  # power limits
-                assert c.q_min <= action.chp_steam[i] <= c.q_max  # steam limits
-                if prev.chp_on[i] and prev.chp_power[i] > 0.0:
-                    delta = action.chp_power[i] - prev.chp_power[i]
-                    assert c.ramp_down <= delta <= c.ramp_up  # ramp window
-            else:
-                assert action.chp_power[i] == 0.0 and action.chp_steam[i] == 0.0
-        assert cfg.boiler.q_min <= action.boiler_steam <= cfg.boiler.q_max
-        st = st_power_fn(action.steam_total, cfg.steam_turbine)
-        p_e = close_load_balance(action, st, record.hidden)
-        residual = abs(
-            sum(action.chp_power)
-            + st
-            + record.hidden.hydro_output
-            + record.hidden.solar_output
-            + p_e
-            - record.hidden.electric_load
+        rows[id(cfg)].append((policy.forward(record.observable), record, prev))
+
+    worst_residual = 0.0
+    checked = 0
+    for cfg in configs:
+        group = rows[id(cfg)]
+
+        def hourly(field):
+            return np.repeat(np.array([field(rec) for _, rec, _ in group])[:, None], 24, axis=1)
+
+        days = Days(
+            electric_load=hourly(lambda rec: rec.hidden.electric_load),
+            heat_load=hourly(lambda rec: rec.hidden.heat_load),
+            solar=hourly(lambda rec: rec.hidden.solar_output),
+            hydro=hourly(lambda rec: rec.hidden.hydro_output),
+            rt_price=hourly(lambda rec: rec.hidden.rt_price),
+            gas_price=hourly(lambda rec: rec.gas_price),
+            init_power=np.array([prev for _, _, prev in group]),
         )
-        worst_residual = max(worst_residual, residual)
-        assert residual < 1e-9
+        u = np.repeat(np.array([u for u, _, _ in group])[:, None, :], 24, axis=1)
+        d = dispatch(u, days, cfg)
+        prev = days.init_power
+        for i, c in enumerate(cfg.chp):
+            on, p, q = d.chp_on[:, 0, i], d.power[:, 0, i], d.steam[:, 0, i]
+            assert np.all((c.p_min <= p[on]) & (p[on] <= c.p_max))  # power limits
+            assert np.all((c.q_min <= q[on]) & (q[on] <= c.q_max))  # steam limits
+            ramping = on & (prev[:, i] > 0.0)
+            delta = p[ramping] - prev[ramping, i]
+            assert np.all((c.ramp_down <= delta) & (delta <= c.ramp_up))  # ramp window
+            assert np.all(p[~on] == 0.0) and np.all(q[~on] == 0.0)
+        b = cfg.boiler
+        qb = d.boiler_steam[:, 0]
+        assert np.all((b.q_min <= qb) & (qb <= b.q_max))
+        residual = np.abs(
+            d.power[:, 0].sum(axis=1)
+            + d.st_power[:, 0]
+            + days.hydro[:, 0]
+            + days.solar[:, 0]
+            + d.exchange[:, 0]
+            - days.electric_load[:, 0]
+        )
+        worst_residual = max(worst_residual, float(residual.max()))
+        assert np.all(residual < 1e-9)
+        checked += len(group)
+    assert checked == cases
     print(
         f"[PASS] criterion 3: {cases} feasibility cases, max residual {worst_residual:.2e}"
     )

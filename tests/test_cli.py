@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chpdispatch.cli import main
 from chpdispatch.data import SyntheticSpec, generate_synthetic, write_scenarios
+from chpdispatch.grid_model import default_config, save_config
 from chpdispatch.policy import InputNormalization, PolicyNetwork, save_policy, weight_count
 
 
@@ -70,6 +72,31 @@ class TestTrain:
         )
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_reads_inputs_once(self, tmp_path, scenario_csv, monkeypatch):
+        import chpdispatch.cli as cli
+        from chpdispatch.batch import BatchEvaluator
+
+        calls = {"load": 0, "evaluator": 0}
+        load, init = cli.load_scenarios, BatchEvaluator.__init__
+
+        def counted_load(*args, **kwargs):
+            calls["load"] += 1
+            return load(*args, **kwargs)
+
+        def counted_init(*args, **kwargs):
+            calls["evaluator"] += 1
+            init(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_scenarios", counted_load)
+        monkeypatch.setattr(BatchEvaluator, "__init__", counted_init)
+        assert main(
+            [
+                "train", "--scenarios", str(scenario_csv), "--nfe", "200",
+                "--seed", "1", "--seed", "2", "--out", str(tmp_path / "once"),
+            ]
+        ) == 0
+        assert calls == {"load": 1, "evaluator": 1}
 
     def test_manifest_digests_match_outputs(self, trained):
         manifest = json.loads(trained.with_name("run.manifest.json").read_text())
@@ -149,6 +176,36 @@ class TestEvaluate:
         traces = sorted(out.glob("trace_*.csv"))
         assert len(traces) == 3
         assert len(traces[0].read_text().splitlines()) == 25
+
+    def test_stale_traces_removed(self, tmp_path, scenario_csv):
+        from chpdispatch.data import load_scenarios
+
+        summer_csv = tmp_path / "summer2.csv"
+        write_scenarios(
+            generate_synthetic(SyntheticSpec(seed=52, days=2, season="summer")), summer_csv
+        )
+        config_path = tmp_path / "summer.json"
+        save_config(default_config("summer"), config_path)
+        out = tmp_path / "eval"
+        for csv_path, config in ((scenario_csv, None), (summer_csv, config_path)):
+            config_args = ["--config", str(config)] if config else []
+            k = 7 if config else 5
+            norm = InputNormalization.from_scenarios(load_scenarios(csv_path))
+            artifact = tmp_path / f"policy{k}.json"
+            save_policy(
+                PolicyNetwork.decode(np.zeros(weight_count(6, 15, k)), 6, 15, k, norm), artifact
+            )
+            assert main(
+                [
+                    "evaluate", "--scenarios", str(csv_path), "--policy", str(artifact),
+                    *config_args, "--out", str(out),
+                ]
+            ) == 0
+        assert len(list(out.glob("trace_*.csv"))) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {Path(p).name for p in manifest["output_digests"]}
+        on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
+        assert listed == on_disk
 
     def test_policy_artifact_mode(self, tmp_path, scenario_csv):
         from chpdispatch.data import load_scenarios

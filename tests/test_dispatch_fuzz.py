@@ -1,0 +1,159 @@
+"""Property tests of the dispatch kernel against the independent oracle.
+
+Each example dispatches a few scenario-days in one kernel call and checks
+every day's objectives and violation against ``oracle.oracle_simulate_day``
+at 1e-9.  The examples cover both seasons and summer commitment patterns;
+random ramp limits, steam capacities and waste thresholds; random initial
+CHP power (units that start off, at a capacity limit or in between); hours
+with zero heat load or a negative real-time price; and network outputs
+pinned to exactly 0 or 1 (the edges of the ramp windows) or to exactly 0.5
+(the commitment threshold)."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chpdispatch.data import SyntheticSpec, generate_synthetic
+from chpdispatch.environment import (
+    Action,
+    day_arrays,
+    day_objectives,
+    decision_dim,
+    dispatch,
+    observations,
+)
+from chpdispatch.grid_model import default_config
+from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
+
+from conftest import config_to_plain, policy_to_plain, scenario_to_plain
+from oracle import oracle_simulate_day
+
+POOL_DAYS = 6
+POOLS = {
+    "winter": generate_synthetic(SyntheticSpec(seed=81, days=POOL_DAYS)),
+    "summer": generate_synthetic(SyntheticSpec(seed=82, days=POOL_DAYS, season="summer")),
+}
+#: Output bias that saturates the sigmoid to exactly 0.0 or 1.0 in float64.
+SATURATING_BIAS = 800.0
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+plants = st.fixed_dictionaries(
+    {
+        "season": st.sampled_from(["winter", "summer"]),
+        "ramp": st.one_of(st.none(), st.floats(200.0, 6000.0)),  # None: default 5000
+        "steam_scale": st.floats(0.1, 2.0),
+        "waste_threshold": st.floats(1.01, 1.5),
+    }
+)
+
+
+def plant(spec):
+    cfg = default_config(spec["season"])
+    ramp = {} if spec["ramp"] is None else {"ramp_down": -spec["ramp"], "ramp_up": spec["ramp"]}
+    chp = tuple(
+        dataclasses.replace(c, q_max=c.q_max * spec["steam_scale"], **ramp) for c in cfg.chp
+    )
+    boiler = dataclasses.replace(cfg.boiler, q_max=cfg.boiler.q_max * spec["steam_scale"])
+    emission = dataclasses.replace(cfg.emission, heat_waste_threshold=spec["waste_threshold"])
+    return dataclasses.replace(cfg, chp=chp, boiler=boiler, emission=emission)
+
+
+start_power = st.one_of(
+    st.just("off"),
+    st.just("p_min"),
+    st.just("p_max"),
+    st.floats(0.0, 1.0),  # fraction of the power span
+)
+
+day_edits = st.fixed_dictionaries(
+    {
+        "pool_index": st.integers(0, POOL_DAYS - 1),
+        "start": st.one_of(st.none(), st.lists(start_power, min_size=2, max_size=2)),
+        "zero_heat_hours": st.sets(st.integers(0, 23), max_size=24),
+        "negative_price_hours": st.sets(st.integers(0, 23), max_size=24),
+        "negative_price": st.floats(-0.2, -1e-4),
+    }
+)
+
+
+def edited_day(scenario, cfg, edit):
+    hours = []
+    for t, rec in enumerate(scenario.hours):
+        hidden = rec.hidden
+        if t in edit["zero_heat_hours"]:
+            hidden = dataclasses.replace(hidden, heat_load=0.0)
+        if t in edit["negative_price_hours"]:
+            hidden = dataclasses.replace(hidden, rt_price=edit["negative_price"])
+        hours.append(dataclasses.replace(rec, hidden=hidden))
+    start = None
+    if edit["start"] is not None:
+        powers = []
+        for c, how in zip(cfg.chp, edit["start"]):
+            if how == "off":
+                powers.append(0.0)
+            elif how == "p_min":
+                powers.append(c.p_min)
+            elif how == "p_max":
+                powers.append(c.p_max)
+            else:
+                powers.append(c.p_min + how * (c.p_max - c.p_min))
+        start = Action(
+            chp_power=tuple(powers),
+            chp_steam=(0.0,) * len(powers),
+            boiler_steam=0.0,
+            chp_on=tuple(p > 0.0 for p in powers),
+            boiler_on=True,
+        )
+    return dataclasses.replace(scenario, hours=tuple(hours), initial_action=start)
+
+
+def pinned_policy(cfg, scenarios, seed, scale, pins):
+    """Random policy whose outputs listed in ``pins`` are exactly 0, 0.5 or 1
+    in every hour: a saturating output bias, or a zeroed output row."""
+    k = decision_dim(cfg)
+    weights = np.random.default_rng(seed).uniform(-scale, scale, weight_count(6, 15, k))
+    w2 = 6 * 15 + 15  # start of the output layer's weight rows
+    for o, level in enumerate(pins[:k]):
+        bias = len(weights) - k + o
+        if level == 0.5:
+            weights[w2 + 15 * o : w2 + 15 * (o + 1)] = 0.0
+            weights[bias] = 0.0
+        elif level is not None:
+            weights[bias] = SATURATING_BIAS if level else -SATURATING_BIAS
+    norm = InputNormalization.from_scenarios(scenarios)
+    return PolicyNetwork.decode(weights, 6, 15, k, norm)
+
+
+@FUZZ
+@given(
+    spec=plants,
+    days=st.lists(day_edits, min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.5, 3.0, 10.0]),
+    pins=st.lists(st.sampled_from([None, 0, 0.5, 1]), min_size=7, max_size=7),
+)
+def test_kernel_matches_oracle(spec, days, seed, scale, pins):
+    cfg = plant(spec)
+    pool = POOLS[spec["season"]]
+    scenarios = [edited_day(pool[e["pool_index"]], cfg, e) for e in days]
+    policy = pinned_policy(cfg, pool, seed, scale, pins)
+
+    u = policy.forward(observations(scenarios))
+    objectives, violation = day_objectives(dispatch(u, day_arrays(scenarios, cfg), cfg))
+
+    weights = [float(w) for w in policy.weights]
+    for s, scenario in enumerate(scenarios):
+        cost, emission, waste, oracle_violation = oracle_simulate_day(
+            scenario_to_plain(scenario, cfg), weights, policy_to_plain(policy),
+            config_to_plain(cfg),
+        )  # fmt: skip
+        assert abs(objectives[0, s] - cost) < 1e-9
+        assert abs(objectives[1, s] - emission) < 1e-9
+        assert objectives[2, s] == waste
+        assert violation[s] == oracle_violation

@@ -1,4 +1,4 @@
-"""Dispatch environment tests: feasibility clamping, load balance, rewards,
+"""Dispatch kernel tests: feasibility clamping, load balance, rewards,
 reliability, and the day simulator against the independent oracle."""
 
 from __future__ import annotations
@@ -11,20 +11,17 @@ import pytest
 from chpdispatch.batch import BatchEvaluator
 from chpdispatch.environment import (
     Action,
-    HiddenState,
-    HourOutcome,
-    clamp_action,
-    close_load_balance,
+    Dispatch,
+    day_arrays,
+    day_objectives,
     decision_dim,
     decision_names,
-    default_initial_action,
-    evaluate_policy,
+    dispatch,
     export_trace,
-    heat_reliability,
-    hour_rewards,
+    observations,
     simulate_day,
 )
-from chpdispatch.grid_model import BoilerParams, LB_PER_METRIC_TON, default_config
+from chpdispatch.grid_model import BoilerParams, LB_PER_METRIC_TON, default_config, total_gas
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 
 from conftest import (
@@ -47,6 +44,41 @@ def tight_ramp_config(season="winter", ramp=1500.0):
     return dataclasses.replace(cfg, chp=chp)
 
 
+def all_switchable_config():
+    """Summer plant in which every unit, CHP 1 included, can be switched off."""
+    return dataclasses.replace(
+        default_config("summer"), switchable_units=frozenset({"chp1", "chp2", "boiler"})
+    )
+
+
+def constant_day(u, cfg, scenarios=None, start=None):
+    """Dispatch the same decision row ``u`` in every hour of each scenario
+    (default: one constant scenario), optionally from a given start state."""
+    scenarios = scenarios or [constant_scenario()]
+    if start is not None:
+        scenarios = [dataclasses.replace(s, initial_action=start) for s in scenarios]
+    u = np.broadcast_to(np.asarray(u, dtype=float), (len(scenarios), 24, decision_dim(cfg)))
+    return dispatch(u, day_arrays(scenarios, cfg), cfg)
+
+
+def hour_action(d: Dispatch, s: int, t: int) -> Action:
+    """One dispatched hour as an :class:`Action`, for the scalar models."""
+    return Action(
+        chp_power=tuple(float(p) for p in d.power[s, t]),
+        chp_steam=tuple(float(q) for q in d.steam[s, t]),
+        boiler_steam=float(d.boiler_steam[s, t]),
+        chp_on=tuple(bool(on) for on in d.chp_on[s, t]),
+        boiler_on=bool(d.boiler_on[s, t]),
+    )
+
+
+def balance_residual(d: Dispatch, days) -> np.ndarray:
+    return (
+        d.power.sum(axis=2) + d.st_power + days.hydro + days.solar + d.exchange
+        - days.electric_load
+    )
+
+
 class TestDecisionLayout:
     def test_winter_dimension(self, winter_config):
         assert decision_dim(winter_config) == 5
@@ -60,169 +92,187 @@ class TestDecisionLayout:
 
 
 class TestClampAction:
+    """The kernel clamps normalized decisions onto each unit's window."""
+
     def test_midpoint_maps_to_window_center(self, winter_config):
-        prev = default_initial_action(winter_config)  # both CHPs at 14000
-        action = clamp_action([0.5, 0.5, 0.5, 0.5, 0.5], prev, winter_config)
+        d = constant_day([0.5] * 5, winter_config)  # both CHPs start at 14000
         # ramp +-5000 clips to the capacity limits [12000, 16000]
-        assert action.chp_power[0] == pytest.approx(14000.0, abs=1e-9)
-        assert action.chp_power[1] == pytest.approx(14000.0, abs=1e-9)
+        assert d.power[0, 0, 0] == pytest.approx(14000.0, abs=1e-9)
+        assert d.power[0, 0, 1] == pytest.approx(14000.0, abs=1e-9)
 
     def test_zero_maps_to_window_lower_bound(self):
         cfg = tight_ramp_config()
-        prev = default_initial_action(cfg)
-        action = clamp_action([0.0] * 5, prev, cfg)
-        assert action.chp_power[0] == max(12000.0, 14000.0 - 1500.0)
-        assert action.chp_steam[0] == 0.0
-        assert action.boiler_steam == 0.0
+        d = constant_day([0.0] * 5, cfg)
+        assert d.power[0, 0, 0] == max(12000.0, 14000.0 - 1500.0)
+        assert d.steam[0, 0, 0] == 0.0
+        assert d.boiler_steam[0, 0] == 0.0
 
     def test_one_maps_to_window_upper_bound(self):
         cfg = tight_ramp_config()
-        prev = default_initial_action(cfg)
-        action = clamp_action([1.0] * 5, prev, cfg)
-        assert action.chp_power[0] == min(16000.0, 14000.0 + 1500.0)
-        assert action.chp_steam[0] == 153.0
-        assert action.boiler_steam == 540.0
+        d = constant_day([1.0] * 5, cfg)
+        assert d.power[0, 0, 0] == min(16000.0, 14000.0 + 1500.0)
+        assert d.steam[0, 0, 0] == 153.0
+        assert d.boiler_steam[0, 0] == 540.0
 
     def test_commitment_threshold(self, summer_config):
-        prev = default_initial_action(summer_config)
-        off = clamp_action([0.5] * 5 + [0.49, 0.49], prev, summer_config)
-        assert not off.chp_on[1] and off.chp_power[1] == 0.0 and off.chp_steam[1] == 0.0
-        assert not off.boiler_on and off.boiler_steam == 0.0
-        on = clamp_action([0.5] * 5 + [0.5, 0.5], prev, summer_config)
-        assert on.chp_on[1] and on.boiler_on
+        off = constant_day([0.5] * 5 + [0.49, 0.49], summer_config)
+        assert not off.chp_on[0, 0, 1] and off.power[0, 0, 1] == 0.0
+        assert off.steam[0, 0, 1] == 0.0
+        assert not off.boiler_on[0, 0] and off.boiler_steam[0, 0] == 0.0
+        on = constant_day([0.5] * 5 + [0.5, 0.5], summer_config)
+        assert on.chp_on[0, 0, 1] and on.boiler_on[0, 0]
 
     def test_restart_window_anchored_at_minimum(self):
         cfg = tight_ramp_config("summer")
-        nc = len(cfg.chp)
-        prev = Action(
+        start = Action(
             chp_power=(14000.0, 0.0), chp_steam=(0.0, 0.0), boiler_steam=0.0,
             chp_on=(True, False), boiler_on=True,
         )
-        action = clamp_action([0.5, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0], prev, cfg)
+        d = constant_day([0.5, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0], cfg, start=start)
         # re-entering unit may reach at most p_min + ramp_up
-        assert action.chp_power[1] == min(16000.0, 12000.0 + 1500.0)
-        assert nc == 2
+        assert d.power[0, 0, 1] == min(16000.0, 12000.0 + 1500.0)
 
     def test_rejects_bad_inputs(self, winter_config):
-        prev = default_initial_action(winter_config)
+        days = day_arrays([constant_scenario()], winter_config)
         with pytest.raises(ValueError):
-            clamp_action([0.5] * 4, prev, winter_config)
+            dispatch(np.full((1, 24, 4), 0.5), days, winter_config)
+        u = np.full((1, 24, 5), 0.5)
+        u[0, 3, 4] = 1.5
         with pytest.raises(ValueError):
-            clamp_action([0.5, 0.5, 0.5, 0.5, 1.5], prev, winter_config)
+            dispatch(u, days, winter_config)
+        u[0, 3, 4] = np.nan
+        with pytest.raises(ValueError):
+            dispatch(u, days, winter_config)
 
     def test_feasibility_over_random_inputs(self, summer_config):
         rng = np.random.default_rng(42)
         for cfg in (tight_ramp_config(), tight_ramp_config("summer"), summer_config):
             k = decision_dim(cfg)
-            for _ in range(300):
-                prev_p = []
-                prev_on = []
-                for c in cfg.chp:
-                    if rng.random() < 0.3:
-                        prev_p.append(0.0)
-                        prev_on.append(False)
-                    else:
-                        prev_p.append(float(rng.uniform(c.p_min, c.p_max)))
-                        prev_on.append(True)
-                prev = Action(
-                    chp_power=tuple(prev_p), chp_steam=(0.0,) * len(cfg.chp),
-                    boiler_steam=0.0, chp_on=tuple(prev_on), boiler_on=True,
-                )
-                action = clamp_action(rng.random(k), prev, cfg)
-                for i, c in enumerate(cfg.chp):
-                    if action.chp_on[i]:
-                        assert c.p_min <= action.chp_power[i] <= c.p_max
-                        assert c.q_min <= action.chp_steam[i] <= c.q_max
-                        if prev.chp_on[i] and prev.chp_power[i] > 0.0:
-                            delta = action.chp_power[i] - prev.chp_power[i]
-                            assert c.ramp_down <= delta <= c.ramp_up
-                    else:
-                        assert action.chp_power[i] == 0.0
-                        assert action.chp_steam[i] == 0.0
-                assert cfg.boiler.q_min <= action.boiler_steam <= cfg.boiler.q_max
+            days = day_arrays([constant_scenario()] * 300, cfg)
+            start = np.array(
+                [
+                    [0.0 if rng.random() < 0.3 else rng.uniform(c.p_min, c.p_max) for c in cfg.chp]
+                    for _ in range(300)
+                ]
+            )
+            days = days._replace(init_power=start)
+            d = dispatch(rng.random((300, 24, k)), days, cfg)
+            prev = np.concatenate([start[:, None, :], d.power[:, :-1, :]], axis=1)
+            for i, c in enumerate(cfg.chp):
+                on, p, q = d.chp_on[:, :, i], d.power[:, :, i], d.steam[:, :, i]
+                assert np.all((c.p_min <= p[on]) & (p[on] <= c.p_max))
+                assert np.all((c.q_min <= q[on]) & (q[on] <= c.q_max))
+                ramping = on & (prev[:, :, i] > 0.0)
+                delta = (p - prev[:, :, i])[ramping]
+                assert np.all((c.ramp_down <= delta) & (delta <= c.ramp_up))
+                assert np.all(p[~on] == 0.0) and np.all(q[~on] == 0.0)
+            b = cfg.boiler
+            on = d.boiler_on
+            assert np.all((b.q_min <= d.boiler_steam[on]) & (d.boiler_steam[on] <= b.q_max))
+            assert np.all(d.boiler_steam[~on] == 0.0)
 
 
 class TestLoadBalance:
-    def test_exact_cover(self):
-        hidden = HiddenState(25000.0, 100.0, 500.0, 1000.0, 0.05)
-        action = Action((12000.0, 11500.0), (0.0, 0.0), 0.0, (True, True), True)
-        assert close_load_balance(action, 0.0, hidden) == 0.0
+    def test_exact_cover(self, winter_config, winter_scenarios):
+        policy = make_policy(np.random.default_rng(12), winter_config, winter_scenarios, scale=5.0)
+        days = day_arrays(winter_scenarios, winter_config)
+        d = dispatch(policy.forward(observations(winter_scenarios)), days, winter_config)
+        chp_sum = d.power[:, :, 0] + d.power[:, :, 1]
+        expected = days.electric_load - chp_sum - d.st_power - days.hydro - days.solar
+        assert np.array_equal(d.exchange, expected)
 
-    def test_export_case(self):
-        hidden = HiddenState(25000.0, 100.0, 250.0, 250.0, 0.05)
-        action = Action((14000.0, 14000.0), (0.0, 0.0), 0.0, (True, True), True)
-        assert close_load_balance(action, 1552.2, hidden) == pytest.approx(-5052.2, abs=1e-9)
+    def test_export_case(self, winter_config):
+        scenario = constant_scenario(load=5000.0, hydro_kw=250.0, solar_kw=250.0)
+        d = constant_day([0.5] * 5, winter_config, [scenario])
+        supplied = d.power[0, 0].sum() + d.st_power[0, 0] + 500.0
+        assert d.exchange[0, 0] < 0.0
+        assert d.exchange[0, 0] == pytest.approx(5000.0 - supplied, abs=1e-9)
 
     def test_full_import(self):
-        hidden = HiddenState(20000.0, 100.0, 0.0, 0.0, 0.05)
-        action = Action((0.0, 0.0), (0.0, 0.0), 0.0, (False, False), False)
-        assert close_load_balance(action, 0.0, hidden) == 20000.0
+        cfg = all_switchable_config()
+        scenario = constant_scenario(load=20000.0, hydro_kw=0.0, solar_kw=0.0)
+        d = constant_day([0.5] * 5 + [0.0] * 3, cfg, [scenario])
+        assert np.all(d.power == 0.0) and not d.chp_on.any() and not d.boiler_on.any()
+        # with no steam the turbine sits on its lower branch intercept
+        assert d.exchange[0, 0] == 20000.0 - cfg.steam_turbine.b2_s
 
 
 class TestHourRewards:
-    def test_pure_import_costs_and_emissions(self, winter_config):
-        action = Action((0.0, 0.0), (0.0, 0.0), 0.0, (False, False), False)
-        hidden = HiddenState(20000.0, 100.0, 0.0, 0.0, 0.05)
-        cost, emission, waste = hour_rewards(action, 20000.0, hidden, 3.5, winter_config)
-        assert cost == pytest.approx(1000.0, abs=1e-9)
-        assert emission == pytest.approx(18640.0, abs=1e-9)
-        assert waste == 0  # no steam produced at all
+    def test_pure_import_costs_and_emissions(self):
+        cfg = all_switchable_config()
+        scenario = constant_scenario(load=20000.0, hydro_kw=0.0, solar_kw=0.0, rt_price=0.05)
+        d = constant_day([0.5] * 5 + [0.0] * 3, cfg, [scenario])
+        purchase = 20000.0 - cfg.steam_turbine.b2_s
+        assert d.cost[0, 0] == pytest.approx(purchase * 0.05, abs=1e-9)
+        assert d.emission_lb[0, 0] == pytest.approx(purchase * 0.932, abs=1e-9)
+        assert not d.waste[0, 0]  # no steam produced at all
 
     def test_waste_threshold_is_strict(self, winter_config):
-        action = Action((0.0, 0.0), (55.0, 0.0), 50.0, (True, False), True)
-        at = HiddenState(20000.0, 100.0, 0.0, 0.0, 0.05)
-        assert action.steam_total == pytest.approx(105.0)
-        assert hour_rewards(action, 0.0, at, 3.5, winter_config)[2] == 0
-        over = Action((0.0, 0.0), (56.0, 0.0), 50.0, (True, False), True)
-        assert hour_rewards(over, 0.0, at, 3.5, winter_config)[2] == 1
+        # CHP steam at q_min = 0, boiler at its q_max: exactly 105 vs 106 klb/h
+        # against a 100 klb/h heat load and the 1.05 threshold
+        flags = []
+        for q_max in (105.0, 106.0):
+            cfg = dataclasses.replace(
+                winter_config, boiler=dataclasses.replace(winter_config.boiler, q_max=q_max)
+            )
+            d = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], cfg, [constant_scenario(heat_load=100.0)])
+            assert d.steam[0, 0].sum() + d.boiler_steam[0, 0] == q_max
+            flags.append(bool(d.waste[0, 0]))
+        assert flags == [False, True]
 
     def test_zero_heat_load_flags_any_steam(self, winter_config):
-        hidden = HiddenState(20000.0, 0.0, 0.0, 0.0, 0.05)
-        none = Action((0.0, 0.0), (0.0, 0.0), 0.0, (False, False), False)
-        some = Action((0.0, 0.0), (1.0, 0.0), 0.0, (True, False), False)
-        assert hour_rewards(none, 0.0, hidden, 3.5, winter_config)[2] == 0
-        assert hour_rewards(some, 0.0, hidden, 3.5, winter_config)[2] == 1
+        scenario = constant_scenario(heat_load=0.0)
+        none = constant_day([0.5, 0.5, 0.0, 0.0, 0.0], winter_config, [scenario])
+        some = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], winter_config, [scenario])
+        assert not none.waste[0, 0] and none.heat_satisfaction[0, 0] == 1.0
+        assert some.waste[0, 0] and some.heat_satisfaction[0, 0] == np.inf
+        assert none.reliable.all() and some.reliable.all()
 
     def test_exports_earn_no_emission_credit(self, winter_config):
-        action = Action((0.0, 0.0), (0.0, 0.0), 0.0, (False, False), False)
-        hidden = HiddenState(20000.0, 100.0, 0.0, 0.0, 0.05)
-        _, emission, _ = hour_rewards(action, -5000.0, hidden, 3.5, winter_config)
-        assert emission == 0.0
+        scenario = constant_scenario(load=5000.0)
+        d = constant_day([0.5] * 5, winter_config, [scenario])
+        assert d.exchange[0, 0] < 0.0
+        gas = total_gas(hour_action(d, 0, 0), winter_config)
+        assert d.emission_lb[0, 0] == pytest.approx(
+            gas * winter_config.emission.gas_emission_rate, rel=1e-12
+        )
 
     def test_cost_monotone_in_rt_price(self, winter_config):
-        action = Action((12000.0, 0.0), (0.0, 0.0), 0.0, (True, False), False)
-        for p_e in (4000.0, -4000.0):
-            costs = []
-            for price in (0.02, 0.05, 0.08):
-                hidden = HiddenState(20000.0, 100.0, 0.0, 0.0, price)
-                costs.append(hour_rewards(action, p_e, hidden, 3.5, winter_config)[0])
-            if p_e > 0:
+        for load in (40000.0, 5000.0):  # purchase, then sale
+            scenarios = [constant_scenario(load=load, rt_price=p) for p in (0.02, 0.05, 0.08)]
+            d = constant_day([0.5] * 5, winter_config, scenarios)
+            costs = d.cost[:, 0]
+            if d.exchange[0, 0] > 0:
                 assert costs[0] <= costs[1] <= costs[2]
             else:
                 assert costs[0] >= costs[1] >= costs[2]
 
 
-def _outcome(flag: int) -> HourOutcome:
-    action = Action((0.0, 0.0), (0.0, 0.0), 0.0, (False, False), False)
-    return HourOutcome(action, 0.0, 0.0, 0.0, 0.0, 0, 1.0, flag)
+def _reliability_only(flags) -> Dispatch:
+    """A one-day dispatch whose only nonzero field is the reliable flag."""
+    zeros = np.zeros((1, 24))
+    fields = {name: zeros for name in Dispatch._fields}
+    fields["reliable"] = np.array([flags], dtype=bool)
+    return Dispatch(**fields)
 
 
 class TestHeatReliability:
     def test_all_hours_pass(self):
-        fraction, violation = heat_reliability([_outcome(1)] * 24)
-        assert fraction == 1.0 and violation == 0.0
+        _, violation = day_objectives(_reliability_only([True] * 24))
+        assert violation[0] == 0.0
 
     def test_21_of_24(self):
-        fraction, violation = heat_reliability([_outcome(1)] * 21 + [_outcome(0)] * 3)
-        assert violation == pytest.approx(1.0 / 24.0, abs=1e-12)
+        _, violation = day_objectives(_reliability_only([True] * 21 + [False] * 3))
+        assert violation[0] == pytest.approx(1.0 / 24.0, abs=1e-12)
 
     def test_boundary_22_hours(self):
-        _, violation = heat_reliability([_outcome(1)] * 22 + [_outcome(0)] * 2)
-        assert violation == 0.0
+        _, violation = day_objectives(_reliability_only([True] * 22 + [False] * 2))
+        assert violation[0] == 0.0
 
-    def test_wrong_length_rejected(self):
+    def test_wrong_length_rejected(self, winter_config):
+        days = day_arrays([constant_scenario()], winter_config)
         with pytest.raises(ValueError):
-            heat_reliability([_outcome(1)] * 23)
+            dispatch(np.full((1, 23, 5), 0.5), days, winter_config)
 
 
 class TestSimulateDay:
@@ -233,14 +283,13 @@ class TestSimulateDay:
             InputNormalization.from_scenarios([scenario]),
         )
         day = simulate_day(policy, scenario, winter_config)
-        first = day.trace[0]
-        for outcome in day.trace[1:]:
-            assert outcome.action == first.action
-            assert outcome.cost == first.cost
-            assert outcome.emission_lb == first.emission_lb
-        assert day.objectives[0] == pytest.approx(24.0 * first.cost, rel=1e-12)
+        d = day.trace
+        for field in ("power", "steam", "boiler_steam", "cost", "emission_lb"):
+            hours = getattr(d, field)[0]
+            assert np.all(hours == hours[0])
+        assert day.objectives[0] == pytest.approx(24.0 * d.cost[0, 0], rel=1e-12)
         assert day.objectives[1] == pytest.approx(
-            24.0 * first.emission_lb / LB_PER_METRIC_TON, rel=1e-12
+            24.0 * d.emission_lb[0, 0] / LB_PER_METRIC_TON, rel=1e-12
         )
 
     def test_deterministic(self, winter_config, winter_scenarios):
@@ -250,7 +299,8 @@ class TestSimulateDay:
         b = simulate_day(policy, winter_scenarios[0], winter_config)
         assert np.array_equal(a.objectives, b.objectives)
         assert a.violation == b.violation
-        assert a.trace == b.trace
+        for x, y in zip(a.trace, b.trace):
+            assert np.array_equal(x, y)
 
     def test_zero_heat_load_with_no_steam_capability(self):
         # A plant that cannot raise steam: vacuous reliability, zero waste.
@@ -269,7 +319,7 @@ class TestSimulateDay:
         day = simulate_day(policy, scenario, cfg)
         assert day.objectives[2] == 0.0
         assert day.violation == 0.0
-        assert all(o.reliability_flag == 1 for o in day.trace)
+        assert day.trace.reliable.all()
 
     def test_scenario_supplied_initial_action_anchors_hour_zero(self):
         cfg = tight_ramp_config()
@@ -284,36 +334,24 @@ class TestSimulateDay:
             InputNormalization.from_scenarios([scenario]),
         )
         day = simulate_day(policy, scenario, cfg)
-        first = day.trace[0].action
+        first = day.trace.power[0, 0]
         # hour 0 windows anchor at the supplied state, not the default
-        assert first.chp_power[0] == pytest.approx(0.5 * (12000.0 + 13500.0))
-        assert first.chp_power[1] == pytest.approx(0.5 * (14500.0 + 16000.0))
+        assert first[0] == pytest.approx(0.5 * (12000.0 + 13500.0))
+        assert first[1] == pytest.approx(0.5 * (14500.0 + 16000.0))
 
     def test_load_balance_identity_holds_per_hour(self, winter_config, winter_scenarios):
         rng = np.random.default_rng(17)
         policy = make_policy(rng, winter_config, winter_scenarios, scale=6.0)
         for scenario in winter_scenarios[:3]:
             day = simulate_day(policy, scenario, winter_config)
-            for t, outcome in enumerate(day.trace):
-                hidden = scenario.hours[t].hidden
-                residual = (
-                    sum(outcome.action.chp_power)
-                    + outcome.st_power
-                    + hidden.hydro_output
-                    + hidden.solar_output
-                    + outcome.exchange
-                    - hidden.electric_load
-                )
-                assert abs(residual) < 1e-9
+            residual = balance_residual(day.trace, day_arrays([scenario], winter_config))
+            assert np.all(np.abs(residual) < 1e-9)
 
     def test_emission_unit_conversion(self, winter_config, winter_scenarios):
         rng = np.random.default_rng(23)
         policy = make_policy(rng, winter_config, winter_scenarios, scale=2.0)
         day = simulate_day(policy, winter_scenarios[1], winter_config)
-        lb = 0.0
-        for outcome in day.trace:
-            lb += outcome.emission_lb
-        assert day.objectives[1] == lb / 2204.62
+        assert day.objectives[1] == day.trace.emission_lb[0].sum() / 2204.62
 
     def test_matches_independent_oracle(self, winter_config, summer_config,
                                         winter_scenarios, summer_scenarios):
@@ -335,59 +373,53 @@ class TestSimulateDay:
             assert day.violation == expected[3]
 
 
+def _evaluate(policy, scenarios, config):
+    evaluator = BatchEvaluator(scenarios, config, policy.normalization, policy.hidden_dim)
+    return evaluator(policy.encode())
+
+
 class TestEvaluatePolicy:
+    """Ensemble evaluation of one policy through :class:`BatchEvaluator`."""
+
     def test_singleton_equals_simulate_day(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(1), winter_config, winter_scenarios)
         day = simulate_day(policy, winter_scenarios[0], winter_config)
-        result = evaluate_policy(policy, [winter_scenarios[0]], winter_config)
-        assert np.array_equal(result.objectives, day.objectives)
-        assert result.violation == day.violation
+        objectives, violation = _evaluate(policy, [winter_scenarios[0]], winter_config)
+        assert np.array_equal(objectives, day.objectives)
+        assert violation == day.violation
 
     def test_duplicated_scenarios_leave_mean_unchanged(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(2), winter_config, winter_scenarios)
-        single = evaluate_policy(policy, [winter_scenarios[0]], winter_config)
-        doubled = evaluate_policy(policy, [winter_scenarios[0]] * 2, winter_config)
-        assert np.allclose(single.objectives, doubled.objectives, rtol=0, atol=0)
+        single, _ = _evaluate(policy, [winter_scenarios[0]], winter_config)
+        doubled, _ = _evaluate(policy, [winter_scenarios[0]] * 2, winter_config)
+        assert np.allclose(single, doubled, rtol=0, atol=0)
 
     def test_two_scenarios_average(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(4), winter_config, winter_scenarios)
         a = simulate_day(policy, winter_scenarios[0], winter_config)
         b = simulate_day(policy, winter_scenarios[1], winter_config)
-        result = evaluate_policy(policy, winter_scenarios[:2], winter_config)
-        assert np.allclose(
-            result.objectives, (a.objectives + b.objectives) / 2.0, rtol=1e-15
-        )
-        assert result.violation == pytest.approx((a.violation + b.violation) / 2.0)
+        objectives, violation = _evaluate(policy, winter_scenarios[:2], winter_config)
+        assert np.allclose(objectives, (a.objectives + b.objectives) / 2.0, rtol=1e-15)
+        assert violation == pytest.approx((a.violation + b.violation) / 2.0)
 
     def test_empty_rejected(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(5), winter_config, winter_scenarios)
         with pytest.raises(ValueError):
-            evaluate_policy(policy, [], winter_config)
+            _evaluate(policy, [], winter_config)
+        with pytest.raises(ValueError):
+            day_arrays([], winter_config)
 
     def test_keep_traces(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(6), winter_config, winter_scenarios)
-        result = evaluate_policy(policy, winter_scenarios[:2], winter_config, keep_traces=True)
-        assert len(result.per_hour_trace) == 2
-        assert len(result.per_hour_trace[0]) == 24
+        evaluator = BatchEvaluator(winter_scenarios[:2], winter_config, policy.normalization)
+        d = dispatch(evaluator.decisions(policy.encode()), evaluator.days, winter_config)
+        assert all(field.shape[:2] == (2, 24) for field in d)
+        single = simulate_day(policy, winter_scenarios[1], winter_config).trace
+        for both, one in zip(d, single):
+            assert np.allclose(both[1], one[0], rtol=1e-12, atol=0.0)
 
 
 class TestBatchEvaluator:
-    @pytest.mark.parametrize("season", ["winter", "summer"])
-    def test_matches_scalar_path(self, season, winter_scenarios, summer_scenarios):
-        config = default_config(season)
-        scenarios = winter_scenarios if season == "winter" else summer_scenarios
-        norm = InputNormalization.from_scenarios(scenarios)
-        evaluator = BatchEvaluator(scenarios, config, norm)
-        rng = np.random.default_rng(31)
-        k = decision_dim(config)
-        for _ in range(25):
-            genome = rng.uniform(-10.0, 10.0, evaluator.genome_length)
-            policy = PolicyNetwork.decode(genome, 6, 15, k, norm)
-            reference = evaluate_policy(policy, scenarios, config)
-            objectives, violation = evaluator(genome)
-            assert np.allclose(objectives, reference.objectives, rtol=1e-12, atol=1e-9)
-            assert violation == reference.violation
-
     def test_rejects_wrong_genome_length(self, winter_config, winter_scenarios):
         norm = InputNormalization.from_scenarios(winter_scenarios)
         evaluator = BatchEvaluator(winter_scenarios, winter_config, norm)
@@ -400,11 +432,20 @@ class TestTraceExport:
         policy = make_policy(np.random.default_rng(8), winter_config, winter_scenarios)
         day = simulate_day(policy, winter_scenarios[0], winter_config)
         path = tmp_path / "trace.csv"
-        export_trace(day.trace, path)
+        export_trace(day.trace, 0, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 25
         header = lines[0].split(",")
         assert header[0] == "hour"
         assert "exchange_kw" in header and "reliability_flag" in header
         first = lines[1].split(",")
-        assert float(first[header.index("chp1_power_kw")]) == day.trace[0].action.chp_power[0]
+        assert float(first[header.index("chp1_power_kw")]) == day.trace.power[0, 0, 0]
+
+    def test_zero_heat_load_satisfaction_is_written(self, tmp_path, winter_config):
+        scenario = constant_scenario(heat_load=0.0)
+        d = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], winter_config, [scenario])
+        path = tmp_path / "trace.csv"
+        export_trace(d, 0, path)
+        header, first = (line.split(",") for line in path.read_text().splitlines()[:2])
+        assert first[header.index("heat_satisfaction")] == "inf"
+        assert first[header.index("heat_waste_flag")] == "1"

@@ -73,6 +73,17 @@ class TestEpsDominates:
         a = sol([-25.0, 0.0, 0.0])
         assert box_index(a.objectives, EPS3)[0] == -3
 
+    def test_epsilon_count_must_match_objectives(self):
+        with pytest.raises(ValueError, match="1 epsilons for 3 objectives"):
+            box_index([100.0, 10.0, 0.1], (10.0,))
+        with pytest.raises(ValueError):
+            eps_dominates(sol([100.0, 10.0, 0.1]), sol([90.0, 11.0, 0.1]), (10.0, 1.0))
+
+    @pytest.mark.parametrize("violation", [float("nan"), float("inf"), -0.1])
+    def test_solution_rejects_bad_violation(self, violation):
+        with pytest.raises(ValueError, match="violation"):
+            sol([1.0, 1.0, 1.0], violation=violation)
+
     def test_corner_distance(self):
         assert corner_distance([5.0, 0.5, 0.005], EPS3) == pytest.approx(
             np.sqrt(3 * 0.25), abs=1e-12

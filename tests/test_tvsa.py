@@ -7,7 +7,7 @@ import csv
 import numpy as np
 import pytest
 
-from chpdispatch.environment import OBSERVABLE_SIGNALS
+from chpdispatch.environment import OBSERVABLE_SIGNALS, observations
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 from chpdispatch.tvsa import (
     TvsaReport,
@@ -224,7 +224,8 @@ class TestForcedOff:
 
     def test_mask_covers_unit_decisions(self, summer_config, summer_scenarios):
         policy = self._off_policy(summer_config, summer_scenarios)
-        mask = forced_off_mask(policy, summer_scenarios, summer_config)
+        outputs = policy.forward(observations(summer_scenarios))
+        mask = forced_off_mask(outputs, summer_config)
         # layout: chp1_p, chp2_p, chp1_q, chp2_q, boiler_q, chp2_on, boiler_on
         assert mask[1].all() and mask[3].all() and mask[4].all()
         assert not mask[0].any() and not mask[2].any()
