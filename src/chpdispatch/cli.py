@@ -160,7 +160,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         write_archive_csv(archive, csv_path, OBJECTIVE_NAMES)
         _write_json(
             _sidecar_path(csv_path),
-            _sidecar_doc(config, normalization, args.hidden, evaluator, epsilons, [seed], args),
+            _sidecar_doc(config, normalization, evaluator, epsilons, [seed], args),
         )
         outputs += [csv_path, _sidecar_path(csv_path)]
         feasible = sum(1 for m in archive if m.feasible)
@@ -188,20 +188,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _sidecar_doc(
     config: MicrogridConfig,
     normalization: InputNormalization,
-    hidden_dim: int,
     evaluator: BatchEvaluator,
     epsilons: tuple[float, ...],
     seeds: list[int],
-    args: argparse.Namespace | None,
+    args: argparse.Namespace,
 ) -> dict:
     return {
         "objective_names": list(OBJECTIVE_NAMES),
         "epsilons": list(epsilons),
         "seeds": seeds,
-        "nfe": args.nfe if args is not None else None,
-        "population_size": args.population if args is not None else None,
-        "bound": args.bound if args is not None else None,
-        "hidden_dim": hidden_dim,
+        "nfe": args.nfe,
+        "population_size": args.population,
+        "bound": args.bound,
+        "hidden_dim": args.hidden,
         "genome_length": evaluator.genome_length,
         "decision_names": decision_names(config),
         "normalization": {

@@ -1,10 +1,10 @@
 """Steady-state multi-objective evolutionary optimizer.
 
 The search maintains a working population plus an epsilon-box archive of
-non-dominated solutions.  Dominance is feasibility-first: any feasible
-solution beats any infeasible one, infeasible solutions compare by their
-violation scalar, and feasibility ties compare objective boxes
-floor(objective / epsilon).  Two solutions in the same box contest it by
+non-dominated solutions.  Of two solutions the lower constraint violation
+wins, and equal violations compare objective boxes floor(objective /
+epsilon); feasible solutions have zero violation, so any feasible solution
+beats any infeasible one.  Two solutions in the same box contest it by
 Euclidean distance to the box's lower corner (in epsilon-normalized space),
 with ties kept by the incumbent.
 
@@ -62,6 +62,9 @@ class Solution:
     objectives: np.ndarray
     violation: float
     operator_tag: str
+    _box: tuple[tuple[float, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.violation) and self.violation >= 0.0):
@@ -72,6 +75,15 @@ class Solution:
     @property
     def feasible(self) -> bool:
         return self.violation == 0.0
+
+    def box(self, epsilons: Sequence[float]) -> tuple[int, ...]:
+        """:func:`box_index` of the objectives, kept for the last epsilon
+        vector asked about."""
+        eps = tuple(epsilons)
+        cached = self._box
+        if cached is None or cached[0] != eps:
+            cached = self._box = (eps, box_index(self.objectives, eps))
+        return cached[1]
 
 
 def box_index(objectives: Sequence[float], epsilons: Sequence[float]) -> tuple[int, ...]:
@@ -93,35 +105,20 @@ def corner_distance(objectives: Sequence[float], epsilons: Sequence[float]) -> f
     return math.sqrt(total)
 
 
-def _compare_boxes(a: tuple[int, ...], b: tuple[int, ...]) -> Dominance:
+def eps_dominates(a: Solution, b: Solution, epsilons: Sequence[float]) -> Dominance:
+    """Constrained epsilon-box domination: the lower violation wins, and
+    equal violations compare boxes."""
+    if a.violation != b.violation:
+        return Dominance.A_DOMINATES if a.violation < b.violation else Dominance.B_DOMINATES
     better = worse = False
-    for ai, bi in zip(a, b):
+    for ai, bi in zip(a.box(epsilons), b.box(epsilons)):
         if ai < bi:
             better = True
         elif ai > bi:
             worse = True
-    if better and not worse:
-        return Dominance.A_DOMINATES
-    if worse and not better:
-        return Dominance.B_DOMINATES
-    if not better and not worse:
-        return Dominance.SAME_BOX
-    return Dominance.NEITHER
-
-
-def eps_dominates(a: Solution, b: Solution, epsilons: Sequence[float]) -> Dominance:
-    """Constrained epsilon-box domination between two evaluated solutions."""
-    if a.violation == 0.0 and b.violation > 0.0:
-        return Dominance.A_DOMINATES
-    if b.violation == 0.0 and a.violation > 0.0:
-        return Dominance.B_DOMINATES
-    if a.violation > 0.0 and b.violation > 0.0 and a.violation != b.violation:
-        return (
-            Dominance.A_DOMINATES
-            if a.violation < b.violation
-            else Dominance.B_DOMINATES
-        )
-    return _compare_boxes(box_index(a.objectives, epsilons), box_index(b.objectives, epsilons))
+    if better:
+        return Dominance.NEITHER if worse else Dominance.A_DOMINATES
+    return Dominance.B_DOMINATES if worse else Dominance.SAME_BOX
 
 
 class EpsilonArchive:
@@ -161,33 +158,20 @@ class EpsilonArchive:
 
     def insert(self, candidate: Solution) -> tuple[bool, bool]:
         eps = self._eps
-        key = box_index(candidate.objectives, eps)
+        key = candidate.box(eps)
         occupied_before = key in self._boxes
-        cv = candidate.violation
         to_remove: list[tuple[int, ...]] = []
         for bkey, member in self._boxes.items():
-            mv = member.violation
-            if cv == 0.0 and mv > 0.0:
-                to_remove.append(bkey)
-                continue
-            if mv == 0.0 and cv > 0.0:
-                return False, False
-            if cv > 0.0 and mv > 0.0 and cv != mv:
-                if cv < mv:
-                    to_remove.append(bkey)
-                    continue
-                return False, False
-            if bkey == key:
-                # Same box: keep whichever sits nearer the lower corner,
-                # the incumbent on an exact tie.
-                if corner_distance(candidate.objectives, eps) < corner_distance(
+            outcome = eps_dominates(candidate, member, eps)
+            if outcome is Dominance.SAME_BOX:
+                # Keep whichever sits nearer the box's lower corner, the
+                # incumbent on an exact tie.
+                if corner_distance(candidate.objectives, eps) >= corner_distance(
                     member.objectives, eps
                 ):
-                    to_remove.append(bkey)
-                    continue
-                return False, False
-            outcome = _compare_boxes(key, bkey)
-            if outcome is Dominance.A_DOMINATES:
+                    return False, False
+                to_remove.append(bkey)
+            elif outcome is Dominance.A_DOMINATES:
                 to_remove.append(bkey)
             elif outcome is Dominance.B_DOMINATES:
                 return False, False

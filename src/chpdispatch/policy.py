@@ -28,12 +28,8 @@ HOUR_SCALE = 23.0
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -132,23 +128,22 @@ class PolicyNetwork:
         return u.reshape(x.shape[:-1] + (self.output_dim,))
 
     def input_gradient(self, obs) -> np.ndarray:
-        """Jacobian d(decision) / d(raw input) at one observation, shape
-        (output_dim, input_dim).
+        """Jacobian d(decision) / d(raw input), shape (output_dim,
+        input_dim), at one observation or at every row of an array of shape
+        (..., input_dim); the result has shape (..., output_dim, input_dim).
 
         Analytic chain rule through both sigmoid layers, including the
         normalization scales, so entries are per raw input unit.
         """
         raw = self._raw_inputs(obs)
-        if raw.ndim != 1:
-            raise ValueError(f"expected one observation, got shape {raw.shape}")
-        x = self.normalization.normalize(raw)
+        x = self.normalization.normalize(raw).reshape(-1, self.input_dim, 1)
         w1, b1, w2, b2 = self._layers()
-        hidden = sigmoid(w1 @ x + b1)
-        out = sigmoid(w2 @ hidden + b2)
+        hidden = sigmoid(w1 @ x + b1[:, None])
+        out = sigmoid(w2 @ hidden + b2[:, None])
         d_hidden = hidden * (1.0 - hidden)
         d_out = out * (1.0 - out)
-        jac = (d_out[:, None] * w2) @ (d_hidden[:, None] * w1)
-        return jac / np.asarray(self.normalization.scales)[None, :]
+        jac = (d_out * w2) @ (d_hidden * w1) / np.asarray(self.normalization.scales)
+        return jac.reshape(raw.shape[:-1] + (self.output_dim, self.input_dim))
 
     def encode(self) -> np.ndarray:
         """Flat genome copy; :meth:`decode` is its exact inverse."""

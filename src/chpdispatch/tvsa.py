@@ -50,19 +50,24 @@ def ensemble_moments(scenarios: Sequence, hour: int) -> tuple[np.ndarray, np.nda
     return mean, np.atleast_2d(cov)
 
 
-def _signal_gradient(policy, scenarios: Sequence, hour: int, gradient_at: str) -> np.ndarray:
-    """d(decisions)/d(signals) at the chosen evaluation point, (k, 5)."""
+def _hour_terms(
+    policy, scenarios: Sequence, hour: int, gradient_at: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor terms of every decision at one hour: first-order (k, 5) and
+    signed, symmetric, zero-diagonal interactions (k, 5, 5), from the
+    gradient d(decisions)/d(signals) at the chosen evaluation point."""
+    mean, cov = ensemble_moments(scenarios, hour)
     if gradient_at == GRADIENT_AT_MEAN:
-        mean, _ = ensemble_moments(scenarios, hour)
-        point = np.append(mean, float(hour))
-        return policy.input_gradient(point)[:, :N_SIGNALS]
-    if gradient_at == GRADIENT_PER_SCENARIO:
-        grads = [
-            policy.input_gradient(sc.hours[hour].observable)[:, :N_SIGNALS]
-            for sc in scenarios
-        ]
-        return np.mean(grads, axis=0)
-    raise ValueError(f"gradient_at must be 'mean' or 'per_scenario', got {gradient_at!r}")
+        grads = policy.input_gradient(np.append(mean, float(hour)))[:, :N_SIGNALS]
+    elif gradient_at == GRADIENT_PER_SCENARIO:
+        rows = np.array([sc.hours[hour].observable.as_vector() for sc in scenarios])
+        grads = np.mean(policy.input_gradient(rows)[:, :, :N_SIGNALS], axis=0)
+    else:
+        raise ValueError(f"gradient_at must be 'mean' or 'per_scenario', got {gradient_at!r}")
+    first = grads * grads * np.diag(cov)
+    second = grads[:, :, None] * grads[:, None, :] * cov
+    second[:, range(N_SIGNALS), range(N_SIGNALS)] = 0.0
+    return first, second
 
 
 def decompose(
@@ -77,12 +82,8 @@ def decompose(
     Returns the first-order vector over the five signals and the signed,
     symmetric, zero-diagonal interaction matrix.
     """
-    _, cov = ensemble_moments(scenarios, hour)
-    grad = _signal_gradient(policy, scenarios, hour, gradient_at)[decision]
-    first = grad * grad * np.diag(cov)
-    second = np.outer(grad, grad) * cov
-    np.fill_diagonal(second, 0.0)
-    return first, second
+    first, second = _hour_terms(policy, scenarios, hour, gradient_at)
+    return first[decision], second[decision]
 
 
 def normalize_cell(
@@ -185,14 +186,10 @@ def build_report(
 
     cells: dict[tuple[int, int], TvsaCell] = {}
     for t in range(HOURS_PER_DAY):
-        _, cov = ensemble_moments(scenarios, t)
-        grads = _signal_gradient(policy, scenarios, t, gradient_at)
+        firsts, seconds = _hour_terms(policy, scenarios, t, gradient_at)
         variances = outputs[:, t, :].var(axis=0, ddof=1)
         for d in range(k):
-            grad = grads[d]
-            first = grad * grad * np.diag(cov)
-            second = np.outer(grad, grad) * cov
-            np.fill_diagonal(second, 0.0)
+            first, second = firsts[d], seconds[d]
             total, norm_first, norm_second = normalize_cell(first, second)
             cells[(d, t)] = TvsaCell(
                 first_order=first,

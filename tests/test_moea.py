@@ -174,6 +174,104 @@ class TestArchiveInsert:
                 assert outcome in (Dominance.A_DOMINATES, Dominance.SAME_BOX)
 
 
+def _reference_insert(boxes: dict, candidate: Solution, eps) -> tuple[bool, bool]:
+    """The archive's insertion rule written out with its own feasibility
+    branches and box comparison, as the archive once held it inline; the
+    differential test below checks ``EpsilonArchive.insert`` against it."""
+    key = box_index(candidate.objectives, eps)
+    occupied_before = key in boxes
+    cv = candidate.violation
+    to_remove = []
+    for bkey, member in boxes.items():
+        mv = member.violation
+        if cv == 0.0 and mv > 0.0:
+            to_remove.append(bkey)
+            continue
+        if mv == 0.0 and cv > 0.0:
+            return False, False
+        if cv > 0.0 and mv > 0.0 and cv != mv:
+            if cv < mv:
+                to_remove.append(bkey)
+                continue
+            return False, False
+        if bkey == key:
+            if corner_distance(candidate.objectives, eps) < corner_distance(
+                member.objectives, eps
+            ):
+                to_remove.append(bkey)
+                continue
+            return False, False
+        better = any(c < m for c, m in zip(key, bkey))
+        worse = any(c > m for c, m in zip(key, bkey))
+        if better and not worse:
+            to_remove.append(bkey)
+        elif worse and not better:
+            return False, False
+    for bkey in to_remove:
+        del boxes[bkey]
+    boxes[key] = candidate
+    return True, not occupied_before
+
+
+class TestInsertMatchesReferenceRule:
+    @pytest.mark.parametrize("feasible_share", [0.0, 0.3, 0.7, 1.0])
+    def test_every_step_matches(self, feasible_share):
+        eps = (1.0, 0.5, 0.25)
+        rng = np.random.default_rng(int(feasible_share * 10) + 500)
+        archive = EpsilonArchive(eps)
+        reference: dict = {}
+        seen: list[Solution] = []
+        for _ in range(600):
+            draw = rng.random()
+            if seen and draw < 0.1:
+                # exact duplicate of an earlier candidate's objectives
+                base = seen[int(rng.integers(len(seen)))]
+                objectives = base.objectives.copy()
+            elif seen and draw < 0.25:
+                # elsewhere in an earlier candidate's box
+                base = seen[int(rng.integers(len(seen)))]
+                corner = np.floor(base.objectives / eps) * eps
+                objectives = corner + rng.uniform(0.0, 1.0, 3) * eps
+            else:
+                objectives = rng.uniform(-3.0, 3.0, 3) * eps * 4.0
+            if rng.random() < feasible_share:
+                violation = 0.0
+            elif rng.random() < 0.6:
+                violation = float(rng.choice([0.25, 0.5, 1.0]))
+            else:
+                violation = float(rng.uniform(0.0, 2.0))
+            candidate = sol(objectives, violation=violation)
+            seen.append(candidate)
+            assert archive.insert(candidate) == _reference_insert(reference, candidate, eps)
+            members = archive.members
+            assert len(members) == len(reference)
+            assert all(a is b for a, b in zip(members, reference.values()))
+        assert any(m.objectives.min() < 0.0 for m in seen)
+
+
+class TestBoxFollowsEpsilons:
+    def test_comparisons_under_two_epsilon_vectors(self):
+        a = sol([100.0, 10.0, 0.10])
+        b = sol([95.0, 12.0, 0.10])
+        coarse = (50.0, 5.0, 1.0)
+        for _ in range(2):
+            assert eps_dominates(a, b, EPS3) is Dominance.NEITHER
+            assert eps_dominates(a, b, coarse) is Dominance.B_DOMINATES
+            assert a.box(EPS3) == box_index(a.objectives, EPS3) == (10, 10, 10)
+            assert a.box(coarse) == box_index(a.objectives, coarse) == (2, 2, 0)
+
+    def test_interleaved_archives(self):
+        a = sol([100.0, 10.0, 0.10])
+        b = sol([95.0, 12.0, 0.10])
+        fine = EpsilonArchive(EPS3)
+        coarse = EpsilonArchive((50.0, 5.0, 1.0))
+        for s in (a, b):
+            fine.insert(s)
+            coarse.insert(s)
+        assert len(fine) == 2 and fine.members[0] is a and fine.members[1] is b
+        assert len(coarse) == 1 and coarse.members[0] is b
+
+
 class TestMergeArchives:
     def _archive_with(self, *solutions):
         archive = EpsilonArchive(EPS3)

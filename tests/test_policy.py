@@ -71,6 +71,20 @@ class TestForward:
         assert sigmoid(np.array([-800.0]))[0] == 0.0
         assert np.all(np.isfinite(sigmoid(np.array([-1e6, 0.0, 1e6]))))
 
+    def test_sigmoid_matches_two_branch_formula_bit_for_bit(self):
+        edges = [0.0, 1e-300, 36.7, 700.0, np.inf]
+        z = np.array(edges + [-e for e in edges])
+        rng = np.random.default_rng(8)
+        for values in (z, rng.standard_normal((168, 15)) * 8.0):
+            pos = values >= 0.0
+            expected = np.empty_like(values)
+            expected[pos] = 1.0 / (1.0 + np.exp(-values[pos]))
+            ez = np.exp(values[~pos])
+            expected[~pos] = ez / (1.0 + ez)
+            got = sigmoid(values)
+            assert got.shape == values.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 class TestEncodeDecode:
     def test_round_trip_exact(self):
@@ -145,6 +159,24 @@ class TestInputGradient:
         u = 1.0 / (1.0 + math.exp(-z2))
         expected = u * (1 - u) * w2 * h * (1 - h) * w1 / 2.0
         assert net.input_gradient(np.array([raw]))[0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+    def test_batched_rows_match_single_rows(self):
+        rng = np.random.default_rng(31)
+        norm = InputNormalization(
+            offsets=tuple(float(o) for o in rng.uniform(-5.0, 5.0, 6)),
+            scales=tuple(float(s) for s in rng.uniform(0.5, 30.0, 6)),
+        )
+        net = random_net(rng, out=9, scale=4.0, norm=norm)
+        rows = rng.uniform(-10.0, 40.0, (4, 24, 6))
+        batched = net.input_gradient(rows)
+        assert batched.shape == (4, 24, 9, 6)
+        assert net.input_gradient(rows[0]).shape == (24, 9, 6)
+        assert net.input_gradient(rows[0, 0]).shape == (9, 6)
+        for s in range(4):
+            for t in range(24):
+                single = net.input_gradient(rows[s, t])
+                assert np.allclose(batched[s, t], single, rtol=1e-12, atol=0.0)
 
 
 class TestNormalization:
