@@ -206,10 +206,11 @@ class Dispatch(NamedTuple):
 def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
     """Map decisions ``u`` of shape (S, 24, k) onto the plant, hour by hour.
 
-    CHP power maps affinely onto the ramp-and-capacity window anchored at
-    the previous hour; a unit that was off re-enters through the window
-    anchored at p_min (ramping across an off period is waived).  Steam maps
-    onto the static steam limits.  Commitment outputs at or above 0.5 turn a
+    CHP power maps affinely onto the ramp-and-capacity window
+    ``[max(p_min, anchor + ramp_down), min(p_max, anchor + ramp_up)]``,
+    whose anchor is the previous hour's power, or p_min for a unit that was
+    off (ramping across an off period is waived).  Steam maps onto the
+    static steam limits.  Commitment outputs at or above 0.5 turn a
     switchable unit on; an off unit's continuous outputs are zero.  Cost is
     gas burned at the gas price plus the signed grid exchange at the
     real-time price; emissions combine local combustion with purchased
@@ -226,48 +227,50 @@ def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
     if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("decisions must lie in [0, 1]")
 
-    commit_units = cfg.commitment_units
-    on = {unit: u[:, :, 2 * nc + 1 + j] >= 0.5 for j, unit in enumerate(commit_units)}
+    def per_unit(*names: str) -> np.ndarray:
+        """CHP parameters, one (nc, 1, 1) column per name, on the unit axis."""
+        table = [[getattr(c, name) for c in cfg.chp] for name in names]
+        return np.array(table).reshape(len(names), nc, 1, 1)
+
+    # Unit axis first: every decision column is a contiguous (S, 24) array,
+    # and per-unit arrays are (nc, S, 24).
+    cols = u.transpose(2, 0, 1).copy()
+    on = {unit: cols[2 * nc + 1 + j] >= 0.5 for j, unit in enumerate(cfg.commitment_units)}
     always = np.ones((S, HOURS_PER_DAY), dtype=bool)
-    chp_on = [on.get(f"chp{i + 1}", always) for i in range(nc)]
+    chp_on = np.stack([on.get(f"chp{i + 1}", always) for i in range(nc)])
 
     # Steam maps onto static limits; off units produce nothing.
-    steam = np.empty((S, HOURS_PER_DAY, nc))
-    for i, params in enumerate(cfg.chp):
-        q = params.q_min + u[:, :, nc + i] * (params.q_max - params.q_min)
-        q = np.minimum(np.maximum(q, params.q_min), params.q_max)
-        steam[:, :, i] = np.where(chp_on[i], q, 0.0)
+    q_min, q_max = per_unit("q_min", "q_max")
+    steam = q_min + cols[nc : 2 * nc] * (q_max - q_min)
+    steam = np.where(chp_on, np.minimum(np.maximum(steam, q_min), q_max), 0.0)
     b = cfg.boiler
-    qb = b.q_min + u[:, :, 2 * nc] * (b.q_max - b.q_min)
+    qb = b.q_min + cols[2 * nc] * (b.q_max - b.q_min)
     qb = np.minimum(np.maximum(qb, b.q_min), b.q_max)
     boiler_on = on.get("boiler", always)
     qb = np.where(boiler_on, qb, 0.0)
 
-    # CHP power is sequential: each hour's window ramps off the last.
-    power = np.empty((S, HOURS_PER_DAY, nc))
-    prev = days.init_power.copy()
+    # CHP power is sequential: each hour's window ramps off the last.  One
+    # set of array operations per hour moves every unit.  State and limits
+    # are full (nc, S) arrays, which numpy combines without broadcasting.
+    limits = per_unit("p_min", "p_max", "ramp_down", "ramp_up")[..., 0]
+    p_min, p_max, ramp_down, ramp_up = np.repeat(limits, S, axis=2)
+    zero = np.zeros((nc, S))
+    u_power = cols[:nc].transpose(2, 0, 1).copy()  # (24, nc, S)
+    on_power = chp_on.transpose(2, 0, 1).copy()
+    power = np.zeros((HOURS_PER_DAY, nc, S))  # off units stay at zero
+    prev = days.init_power.T.copy()
     for t in range(HOURS_PER_DAY):
-        for i, params in enumerate(cfg.chp):
-            was_on = prev[:, i] > 0.0
-            lo = np.where(
-                was_on, np.maximum(params.p_min, prev[:, i] + params.ramp_down), params.p_min
-            )
-            hi = np.where(
-                was_on,
-                np.minimum(params.p_max, prev[:, i] + params.ramp_up),
-                min(params.p_max, params.p_min + params.ramp_up),
-            )
-            p = lo + u[:, t, i] * (hi - lo)
-            p = np.minimum(np.maximum(p, lo), hi)
-            p = np.where(chp_on[i][:, t], p, 0.0)
-            power[:, t, i] = p
-            prev[:, i] = p
+        # ChpParams keeps ramp_down < 0, so an off unit's lower edge is p_min.
+        anchor = np.where(prev > zero, prev, p_min)
+        lo = np.maximum(p_min, anchor + ramp_down)
+        hi = np.minimum(p_max, anchor + ramp_up)
+        p = lo + u_power[t] * (hi - lo)
+        prev = power[t]
+        np.copyto(prev, np.minimum(np.maximum(p, lo), hi), where=on_power[t])
+    power = power.transpose(1, 2, 0).copy()  # (nc, S, 24)
 
-    # Summation order q1 + q2 + ... + qb, as in the independent oracle.
-    steam_total = steam[:, :, 0]
-    for i in range(1, nc):
-        steam_total = steam_total + steam[:, :, i]
-    steam_total = steam_total + qb
+    # Unit-by-unit summation order q1 + q2 + ... + qb, as in the oracle.
+    steam_total = sum(steam[1:], steam[0]) + qb
 
     st = cfg.steam_turbine
     st_power = np.where(
@@ -276,25 +279,20 @@ def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
         st.a2_s * steam_total + st.b2_s,
     )
 
-    chp_sum = power[:, :, 0]
-    for i in range(1, nc):
-        chp_sum = chp_sum + power[:, :, i]
+    chp_sum = sum(power[1:], power[0])
     p_e = days.electric_load - chp_sum - st_power - days.hydro - days.solar
 
-    gas = np.zeros((S, HOURS_PER_DAY))
-    for i, params in enumerate(cfg.chp):
-        p = power[:, :, i]
-        running = p > 0.0
-        ratio = p / params.p_max
-        eff = params.a_c + params.b_c * ratio + params.c_c * ratio * ratio
-        if np.any(running & (eff <= 0.0)):
-            raise ValueError("fitted efficiency is non-positive at a dispatched point")
-        denom = params.heating_value * np.where(running, eff, 1.0)
-        fuel_p = np.where(running, p / denom, 0.0)
-        fuel_q = np.maximum(params.a_q * steam[:, :, i] - params.b_q, 0.0)
-        gas = gas + (fuel_p + fuel_q)
+    a_c, b_c, c_c, a_q, b_q, hv = per_unit("a_c", "b_c", "c_c", "a_q", "b_q", "heating_value")
+    running = power > 0.0
+    ratio = power / per_unit("p_max")[0]
+    eff = a_c + b_c * ratio + c_c * ratio * ratio
+    if np.any(running & (eff <= 0.0)):
+        raise ValueError("fitted efficiency is non-positive at a dispatched point")
+    denom = hv * np.where(running, eff, 1.0)
+    fuel_p = np.where(running, power / denom, 0.0)
+    fuel_q = np.maximum(a_q * steam - b_q, 0.0)
     boiler_gas = np.where(boiler_on, b.a_b * qb * qb + b.b_b * qb + b.c_b, 0.0)
-    gas = gas + boiler_gas
+    gas = sum(fuel_p + fuel_q, 0.0) + boiler_gas
 
     cost = gas * days.gas_price + p_e * days.rt_price
     emission = gas * cfg.emission.gas_emission_rate + (
@@ -305,10 +303,10 @@ def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
     waste = np.where(has_heat, ratio > cfg.emission.heat_waste_threshold, steam_total > 0.0)
     satisfaction = np.where(has_heat, ratio, np.where(steam_total > 0.0, np.inf, 1.0))
     return Dispatch(
-        power=power,
-        steam=steam,
+        power=power.transpose(1, 2, 0),
+        steam=steam.transpose(1, 2, 0),
         boiler_steam=qb,
-        chp_on=np.stack(chp_on, axis=-1),
+        chp_on=chp_on.transpose(1, 2, 0),
         boiler_on=boiler_on,
         st_power=st_power,
         exchange=p_e,

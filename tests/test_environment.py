@@ -449,3 +449,211 @@ class TestTraceExport:
         header, first = (line.split(",") for line in path.read_text().splitlines()[:2])
         assert first[header.index("heat_satisfaction")] == "inf"
         assert first[header.index("heat_waste_flag")] == "1"
+
+
+def _reference_dispatch(u, days, cfg) -> Dispatch:
+    """The kernel as it stood with a Python loop over hours x units and the
+    two-branch ramp window (previous hour on: anchored at its power; off:
+    ``[p_min, min(p_max, p_min + ramp_up)]``), kept operation for operation
+    as the bitwise reference for :func:`dispatch`."""
+    nc = len(cfg.chp)
+    S = len(days.init_power)
+    on = {unit: u[:, :, 2 * nc + 1 + j] >= 0.5 for j, unit in enumerate(cfg.commitment_units)}
+    always = np.ones((S, 24), dtype=bool)
+    chp_on = [on.get(f"chp{i + 1}", always) for i in range(nc)]
+
+    steam = np.empty((S, 24, nc))
+    for i, params in enumerate(cfg.chp):
+        q = params.q_min + u[:, :, nc + i] * (params.q_max - params.q_min)
+        q = np.minimum(np.maximum(q, params.q_min), params.q_max)
+        steam[:, :, i] = np.where(chp_on[i], q, 0.0)
+    b = cfg.boiler
+    qb = b.q_min + u[:, :, 2 * nc] * (b.q_max - b.q_min)
+    qb = np.minimum(np.maximum(qb, b.q_min), b.q_max)
+    boiler_on = on.get("boiler", always)
+    qb = np.where(boiler_on, qb, 0.0)
+
+    power = np.empty((S, 24, nc))
+    prev = days.init_power.copy()
+    for t in range(24):
+        for i, params in enumerate(cfg.chp):
+            was_on = prev[:, i] > 0.0
+            lo = np.where(
+                was_on, np.maximum(params.p_min, prev[:, i] + params.ramp_down), params.p_min
+            )
+            hi = np.where(
+                was_on,
+                np.minimum(params.p_max, prev[:, i] + params.ramp_up),
+                min(params.p_max, params.p_min + params.ramp_up),
+            )
+            p = lo + u[:, t, i] * (hi - lo)
+            p = np.minimum(np.maximum(p, lo), hi)
+            p = np.where(chp_on[i][:, t], p, 0.0)
+            power[:, t, i] = p
+            prev[:, i] = p
+
+    steam_total = steam[:, :, 0]
+    for i in range(1, nc):
+        steam_total = steam_total + steam[:, :, i]
+    steam_total = steam_total + qb
+    st = cfg.steam_turbine
+    st_power = np.where(
+        steam_total > st.c_s, st.a1_s * steam_total + st.b1_s, st.a2_s * steam_total + st.b2_s
+    )
+    chp_sum = power[:, :, 0]
+    for i in range(1, nc):
+        chp_sum = chp_sum + power[:, :, i]
+    p_e = days.electric_load - chp_sum - st_power - days.hydro - days.solar
+
+    gas = np.zeros((S, 24))
+    for i, params in enumerate(cfg.chp):
+        p = power[:, :, i]
+        running = p > 0.0
+        ratio = p / params.p_max
+        eff = params.a_c + params.b_c * ratio + params.c_c * ratio * ratio
+        denom = params.heating_value * np.where(running, eff, 1.0)
+        fuel_p = np.where(running, p / denom, 0.0)
+        fuel_q = np.maximum(params.a_q * steam[:, :, i] - params.b_q, 0.0)
+        gas = gas + (fuel_p + fuel_q)
+    gas = gas + np.where(boiler_on, b.a_b * qb * qb + b.b_b * qb + b.c_b, 0.0)
+
+    cost = gas * days.gas_price + p_e * days.rt_price
+    emission = gas * cfg.emission.gas_emission_rate + (
+        cfg.emission.grid_emission_factor * np.maximum(p_e, 0.0)
+    )
+    has_heat = days.heat_load > 0.0
+    ratio = steam_total / np.where(has_heat, days.heat_load, 1.0)
+    waste = np.where(has_heat, ratio > cfg.emission.heat_waste_threshold, steam_total > 0.0)
+    satisfaction = np.where(has_heat, ratio, np.where(steam_total > 0.0, np.inf, 1.0))
+    return Dispatch(
+        power=power,
+        steam=steam,
+        boiler_steam=qb,
+        chp_on=np.stack(chp_on, axis=-1),
+        boiler_on=boiler_on,
+        st_power=st_power,
+        exchange=p_e,
+        cost=cost,
+        emission_lb=emission,
+        waste=waste,
+        heat_satisfaction=satisfaction,
+        reliable=satisfaction >= 0.95,
+    )
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def random_plant(rng, cfg):
+    """``cfg`` with random asymmetric ramp limits per unit; about half of
+    them leave ``p_min + ramp_up < p_max``, where a restarting unit's upper
+    edge binds below capacity."""
+    chp = tuple(
+        dataclasses.replace(
+            c,
+            ramp_down=-rng.uniform(100.0, 6000.0),
+            ramp_up=rng.uniform(100.0, 2.0 * (c.p_max - c.p_min)),
+        )
+        for c in cfg.chp
+    )
+    return dataclasses.replace(cfg, chp=chp)
+
+
+def random_start(rng, cfg, n):
+    """(n, nc) start powers: off, at p_min, at p_max, or in between."""
+    start = np.empty((n, len(cfg.chp)))
+    for i, c in enumerate(cfg.chp):
+        kind = rng.integers(0, 4, n)
+        start[:, i] = np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [0.0, c.p_min, c.p_max],
+            rng.uniform(c.p_min, c.p_max, n),
+        )
+    return start
+
+
+def random_decisions(rng, cfg, n):
+    """(n, 24, k) decisions with a share pinned to exactly 0, 0.5 or 1, and
+    commitment columns that switch units off and back on within a day."""
+    u = rng.random((n, 24, decision_dim(cfg)))
+    pinned = rng.random(u.shape) < 0.15
+    u[pinned] = rng.choice([0.0, 0.5, 1.0], int(pinned.sum()))
+    nc = len(cfg.chp)
+    for j in range(len(cfg.commitment_units)):
+        # runs of on and off hours: each hour flips with probability 0.25
+        flips = rng.random((n, 24)) < 0.25
+        state = (np.cumsum(flips, axis=1) + rng.integers(0, 2, (n, 1))) % 2
+        u[:, :, 2 * nc + 1 + j] = np.where(state == 1, rng.uniform(0.5, 1.0, (n, 24)), 0.0)
+    return u
+
+
+class TestRampWindowMatchesReferenceLoop:
+    """:func:`dispatch` (one array pass per hour over every unit, windows
+    anchored at ``where(prev > 0, prev, p_min)``) equals the per-unit
+    two-branch loop bit for bit, in every field."""
+
+    @pytest.mark.parametrize("plant", ["winter", "summer", "all-switchable"])
+    def test_every_field_bitwise(self, plant, winter_scenarios, summer_scenarios):
+        base = all_switchable_config() if plant == "all-switchable" else default_config(plant)
+        scenarios = winter_scenarios if plant == "winter" else summer_scenarios
+        rng = np.random.default_rng({"winter": 61, "summer": 62, "all-switchable": 63}[plant])
+        n = 60
+        capped_reentries = restarts = 0
+        for _ in range(10):
+            cfg = random_plant(rng, base)
+            days = day_arrays([scenarios[i] for i in rng.integers(0, len(scenarios), n)], cfg)
+            days = days._replace(init_power=random_start(rng, cfg, n))
+            u = random_decisions(rng, cfg, n)
+            d, ref = dispatch(u, days, cfg), _reference_dispatch(u, days, cfg)
+            for name in Dispatch._fields:
+                assert_same_bits(getattr(d, name), getattr(ref, name))
+
+            # the draws reach the off-unit branch where its upper edge binds
+            prev = np.concatenate([days.init_power[:, None, :], d.power[:, :-1, :]], axis=1)
+            reentry = d.chp_on & (prev == 0.0)
+            edge = np.array([c.p_min + c.ramp_up for c in cfg.chp])
+            below_cap = edge < np.array([c.p_max for c in cfg.chp])
+            capped_reentries += int(np.sum(reentry & (d.power == edge) & below_cap))
+            restarts += int(np.sum(reentry[:, 1:]))
+        assert capped_reentries > 0
+        assert (restarts > 0) == (plant != "winter")
+
+
+class TestRowIndependence:
+    """Each scenario row is dispatched on its own: stacking two sets of
+    days, or permuting the rows, leaves every row's fields and objectives
+    bit-identical."""
+
+    @pytest.mark.parametrize("season", ["winter", "summer"])
+    def test_concatenation_and_permutation(self, season, winter_scenarios, summer_scenarios):
+        scenarios = winter_scenarios if season == "winter" else summer_scenarios
+        rng = np.random.default_rng(71 if season == "winter" else 72)
+        cfg = random_plant(rng, default_config(season))
+
+        def draw(n):
+            days = day_arrays([scenarios[i] for i in rng.integers(0, len(scenarios), n)], cfg)
+            return days._replace(init_power=random_start(rng, cfg, n)), random_decisions(rng, cfg, n)
+
+        (days_a, u_a), (days_b, u_b) = draw(7), draw(13)
+        days_ab = type(days_a)(*(np.concatenate(pair) for pair in zip(days_a, days_b)))
+        u_ab = np.concatenate([u_a, u_b])
+        perm = rng.permutation(20)
+        days_p = type(days_a)(*(field[perm] for field in days_ab))
+
+        d_a, d_b = dispatch(u_a, days_a, cfg), dispatch(u_b, days_b, cfg)
+        d_ab, d_p = dispatch(u_ab, days_ab, cfg), dispatch(u_ab[perm], days_p, cfg)
+        for name in Dispatch._fields:
+            apart = np.concatenate([getattr(d_a, name), getattr(d_b, name)])
+            assert_same_bits(getattr(d_ab, name), apart)
+            assert_same_bits(getattr(d_p, name), apart[perm])
+
+        (obj_a, vio_a), (obj_b, vio_b) = day_objectives(d_a), day_objectives(d_b)
+        obj_ab, vio_ab = day_objectives(d_ab)
+        obj_p, vio_p = day_objectives(d_p)
+        assert_same_bits(obj_ab, np.concatenate([obj_a, obj_b], axis=1))
+        assert_same_bits(vio_ab, np.concatenate([vio_a, vio_b]))
+        assert_same_bits(obj_p, obj_ab[:, perm])
+        assert_same_bits(vio_p, vio_ab[perm])

@@ -239,8 +239,19 @@ class TestParamValidation:
             ChpParams(0.1, 0.4, 0.2, 1.0, 50.0, 16000.0, 12000.0, -5000.0, 5000.0, 0.0, 153.0, 293.0)
 
     def test_ramp_signs(self):
-        with pytest.raises(ValueError):
-            ChpParams(0.1, 0.4, 0.2, 1.0, 50.0, 12000.0, 16000.0, 5000.0, 5000.0, 0.0, 153.0, 293.0)
+        # environment.dispatch relies on ramp_down < 0: an off unit's lower
+        # window edge max(p_min, p_min + ramp_down) is then exactly p_min.
+        nan = float("nan")
+        for ramp_down, ramp_up in [
+            (5000.0, 5000.0), (0.0, 5000.0), (-0.0, 5000.0), (nan, 5000.0),
+            (-5000.0, 0.0), (-5000.0, -1.0), (-5000.0, nan),
+        ]:  # fmt: skip
+            with pytest.raises(ValueError, match="ramp limits"):
+                ChpParams(
+                    0.1, 0.4, 0.2, 1.0, 50.0, 12000.0, 16000.0, ramp_down, ramp_up, 0.0, 153.0,
+                    293.0,
+                )  # fmt: skip
+        ChpParams(0.1, 0.4, 0.2, 1.0, 50.0, 12000.0, 16000.0, -1e-9, 1e-9, 0.0, 153.0, 293.0)
 
     def test_efficiency_must_be_positive_when_committed(self):
         with pytest.raises(ValueError):
