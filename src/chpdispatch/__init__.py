@@ -16,11 +16,10 @@ from .grid_model import (  # noqa: F401
 from .environment import (  # noqa: F401
     Action,
     Dispatch,
-    HiddenState,
-    ObservableState,
+    Ensemble,
     dispatch,
     simulate_day,
 )
 from .policy import InputNormalization, PolicyNetwork  # noqa: F401
 from .moea import EpsilonArchive, MoeaConfig, Solution, merge_archives, run  # noqa: F401
-from .data import Scenario, SyntheticSpec, generate_synthetic, load_scenarios  # noqa: F401
+from .data import SyntheticSpec, generate_synthetic, load_scenarios  # noqa: F401

@@ -1,7 +1,7 @@
 """Policy evaluation for the optimizer's inner loop.
 
 A derivative-free search needs tens of thousands of policy evaluations, so
-this module stacks a scenario ensemble into arrays once and then maps each
+this module normalizes a scenario ensemble's policy inputs once and maps each
 genome to its ensemble objectives with one forward pass over every
 (scenario, hour) and one call of the dispatch kernel in
 :mod:`.environment`.  The observable inputs do not depend on past actions,
@@ -10,11 +10,9 @@ so the whole day's network outputs are computed up front.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .environment import day_arrays, day_objectives, decision_dim, dispatch, observations
+from .environment import Ensemble, day_objectives, decision_dim, dispatch
 from .grid_model import MicrogridConfig
 from .policy import InputNormalization, PolicyNetwork, weight_count
 
@@ -22,14 +20,14 @@ from .policy import InputNormalization, PolicyNetwork, weight_count
 class BatchEvaluator:
     """Callable mapping a flat weight genome to (objectives, violation).
 
-    Precomputes the normalized policy inputs and the scenario arrays once;
-    each call then costs two matmuls plus the kernel's elementwise work.  Instances are
+    Precomputes the normalized policy inputs once; each call then costs
+    two matmuls plus the kernel's elementwise work.  Instances are
     read-only after construction and safe to share.
     """
 
     def __init__(
         self,
-        scenarios: Sequence,
+        scenarios: Ensemble,
         config: MicrogridConfig,
         normalization: InputNormalization,
         hidden_dim: int = 15,
@@ -39,8 +37,10 @@ class BatchEvaluator:
         self.hidden_dim = hidden_dim
         self.input_dim = len(normalization.offsets)
         self.output_dim = decision_dim(config)
-        self.days = day_arrays(scenarios, config)  # rejects an empty list
-        self.inputs = normalization.normalize(observations(scenarios))
+        if len(scenarios) == 0:
+            raise ValueError("scenario ensemble must be nonempty")
+        self.days = scenarios
+        self.inputs = normalization.normalize(scenarios.policy_inputs())
 
     @property
     def genome_length(self) -> int:

@@ -28,15 +28,7 @@ import numpy as np
 from . import __version__
 from .batch import BatchEvaluator
 from .data import ScenarioLoadError, load_scenarios
-from .environment import (
-    day_arrays,
-    day_objectives,
-    decision_dim,
-    decision_names,
-    dispatch,
-    export_trace,
-    observations,
-)
+from .environment import day_objectives, decision_dim, decision_names, dispatch, export_trace
 from .grid_model import (
     MicrogridConfig,
     config_from_dict,
@@ -300,9 +292,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     policy, config, inputs = _policy_from_args(args)
     _check_architecture(policy, config)
 
-    trace = dispatch(
-        policy.forward(observations(scenarios)), day_arrays(scenarios, config), config
-    )
+    trace = dispatch(policy.forward(scenarios.policy_inputs()), scenarios, config)
     day_obj, day_violation = day_objectives(trace)
     objectives, violation = day_obj.mean(axis=1), float(day_violation.mean())
 
@@ -316,8 +306,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     objective_path = out / "objectives.json"
     _write_json(objective_path, doc)
     outputs.append(objective_path)
-    for s, scenario in enumerate(scenarios):
-        trace_path = out / f"trace_{scenario.label}.csv"
+    for s, label in enumerate(scenarios.labels):
+        trace_path = out / f"trace_{label}.csv"
         export_trace(trace, s, trace_path)
         outputs.append(trace_path)
     print(

@@ -1,9 +1,10 @@
 """Scenario ingestion, validation, and synthetic generation.
 
-A scenario is one day of 24 hourly records: the observable signals a policy
-may use, the hidden realizations the simulator needs, and the gas price.
-Scenarios arrive as CSV with this fixed header (one row per hour, rows of a
-day contiguous and in hour order):
+A scenario set is an :class:`~.environment.Ensemble`: S days of hourly
+arrays holding the observable signals a policy may use, the hidden
+realizations the simulator needs, and the gas price.  Scenarios arrive as
+CSV with this fixed header (one row per hour, timestamps on the hour, the
+24 rows of a day contiguous and in hour order, each day once):
 
     datetime, temperature_c, wind_mps, solar_wm2, streamflow_cms,
     price_prior_rt_usd_mwh, price_rt_usd_mwh, gas_usd_dth,
@@ -29,11 +30,11 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .environment import Action, HiddenState, ObservableState
+from .environment import HOURLY_FIELDS, HOURS_PER_DAY, Ensemble, domain_violation
 
 SCHEMA = (
     "datetime",
@@ -50,6 +51,21 @@ SCHEMA = (
     "hydro_kw",
 )
 
+#: Columns of :attr:`Ensemble.signals`, in its last-axis order.
+SIGNAL_COLUMNS = SCHEMA[1:6]
+
+#: Column of each hidden hourly array, by :class:`Ensemble` field.
+HIDDEN_COLUMNS = {
+    "electric_load": "load_kw",
+    "heat_load": "heat_load_klbh",
+    "solar": "solar_kw",
+    "hydro": "hydro_kw",
+    "rt_price": "price_rt_usd_mwh",
+    "gas_price": "gas_usd_dth",
+}
+
+PRICE_COLUMNS = frozenset({"price_prior_rt_usd_mwh", "price_rt_usd_mwh"})
+
 WINTER_MONTHS = frozenset({10, 11, 12, 1, 2, 3, 4})
 
 
@@ -57,49 +73,16 @@ class ScenarioLoadError(ValueError):
     """Raised when a scenario file violates the documented schema."""
 
 
-@dataclass(frozen=True)
-class HourRecord:
-    observable: ObservableState
-    hidden: HiddenState
-    gas_price: float  # $/dth
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One day of hourly signals, optionally with the dispatch state the
-    day starts from (hour 0 ramps against it)."""
-
-    label: str
-    hours: tuple[HourRecord, ...]
-    initial_action: Action | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.hours) != 24:
-            raise ValueError(f"scenario {self.label!r} has {len(self.hours)} hours, expected 24")
-        for t, rec in enumerate(self.hours):
-            if rec.observable.hour_of_day != t:
-                raise ValueError(
-                    f"scenario {self.label!r}: record {t} carries hour "
-                    f"{rec.observable.hour_of_day}"
-                )
-            values = rec.observable.as_vector().tolist() + [
-                rec.hidden.electric_load,
-                rec.hidden.heat_load,
-                rec.hidden.solar_output,
-                rec.hidden.hydro_output,
-                rec.hidden.rt_price,
-                rec.gas_price,
-            ]
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"scenario {self.label!r}: non-finite value at hour {t}")
-
-
-def _parse_price_mwh(text: str) -> float:
+def _parse_prices(cells: Iterable[str]) -> list[float]:
     """$/MWh column text to $/kWh, with a decimal-exact scale so the writer
     can always produce an exactly inverting representation."""
     with localcontext() as ctx:
         ctx.prec = 400
-        return float(Decimal(text).scaleb(-3))
+        return [float(Decimal(text).scaleb(-3)) for text in cells]
+
+
+def _parse_price_mwh(text: str) -> float:
+    return _parse_prices([text])[0]
 
 
 def _format_price_mwh(price_kwh: float) -> str:
@@ -112,132 +95,139 @@ def _format_price_mwh(price_kwh: float) -> str:
         return format(Decimal(price_kwh).scaleb(3), "f")
 
 
-def _row_float(row: Mapping[str, str], column: str, line: int) -> float:
-    text = row[column]
+def _parse_floats(cells: Iterable[str]) -> list[float]:
+    return list(map(float, cells))
+
+
+def _parse_column(column: str, cells: list[str]) -> np.ndarray:
+    """One numeric column, cell by cell with Python ``float`` (prices: the
+    decimal-exact scale).  Only when that fails or gives a non-finite value
+    does a second scan look for the first bad cell, to name its row."""
+    parse = _parse_prices if column in PRICE_COLUMNS else _parse_floats
     try:
-        value = float(text)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioLoadError(f"row {line}: column {column!r} is not numeric: {text!r}") from exc
-    if not math.isfinite(value):
-        raise ScenarioLoadError(f"row {line}: column {column!r} is not finite: {text!r}")
-    return value
+        values = np.array(parse(cells), dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except (ValueError, ArithmeticError):
+        pass
+    for line, text in enumerate(cells, start=2):
+        try:
+            value = parse([text])[0]
+        except (ValueError, ArithmeticError) as exc:
+            raise ScenarioLoadError(
+                f"row {line}: column {column!r} is not numeric: {text!r}"
+            ) from exc
+        if not math.isfinite(value):
+            break
+    raise ScenarioLoadError(f"row {line}: column {column!r} is not finite: {text!r}")
 
 
-def load_scenarios(path: str | Path) -> list[Scenario]:
+def _day_labels(stamps: list[str]) -> list[str]:
+    """Dates of the 24-row days, checking that each timestamp is on the
+    hour, each day's rows are contiguous and in hour order, and no day
+    repeats."""
+    labels: list[str] = []
+    first_row: dict[str, int] = {}
+    count = 0
+
+    def close_day(line: int) -> None:
+        if labels and count != HOURS_PER_DAY:
+            raise ScenarioLoadError(
+                f"rows {first_row[labels[-1]]}-{line}: day {labels[-1]} has {count} rows, "
+                "expected 24 (partial day)"
+            )
+
+    for line, text in enumerate(stamps, start=2):
+        try:
+            stamp = datetime.fromisoformat(text)
+        except ValueError as exc:
+            raise ScenarioLoadError(f"row {line}: bad datetime {text!r}") from exc
+        if stamp.minute or stamp.second or stamp.microsecond:
+            raise ScenarioLoadError(f"row {line}: datetime {text!r} is not on the hour")
+        day = stamp.date().isoformat()
+        if not labels or day != labels[-1]:
+            close_day(line - 1)
+            if day in first_row:
+                raise ScenarioLoadError(
+                    f"row {line}: day {day} repeats; its rows began at row {first_row[day]}"
+                )
+            labels.append(day)
+            first_row[day] = line
+            count = 0
+        if count == HOURS_PER_DAY:
+            raise ScenarioLoadError(f"row {line}: day {day} has more than 24 rows")
+        if stamp.hour != count:
+            raise ScenarioLoadError(
+                f"row {line}: expected hour {count} of day {day}, got {stamp.hour}"
+            )
+        count += 1
+    close_day(len(stamps) + 1)
+    return labels
+
+
+def load_scenarios(path: str | Path) -> Ensemble:
     """Read and validate a scenario CSV; any schema violation raises
     :class:`ScenarioLoadError` naming the offending column and row."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"scenario file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ScenarioLoadError(f"{path}: empty file")
-        missing = [c for c in SCHEMA if c not in reader.fieldnames]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in SCHEMA if c not in header]
         if missing:
             raise ScenarioLoadError(f"{path}: missing column(s): {', '.join(missing)}")
-        rows = list(reader)
+        rows = [row for row in reader if row]
     if not rows:
         raise ScenarioLoadError(f"{path}: no data rows")
-
-    scenarios: list[Scenario] = []
-    label: str | None = None
-    records: list[HourRecord] = []
-    first_line = 0
-
-    def flush(line: int) -> None:
-        if label is None:
-            return
-        if len(records) != 24:
-            raise ScenarioLoadError(
-                f"rows {first_line}-{line}: day {label} has {len(records)} rows, "
-                "expected 24 (partial day)"
-            )
-        scenarios.append(Scenario(label=label, hours=tuple(records)))
-
+    position = {name: i for i, name in enumerate(header) if name in SCHEMA}
+    width = max(position.values()) + 1
     for line, row in enumerate(rows, start=2):
-        text = row.get("datetime")
-        try:
-            stamp = datetime.fromisoformat(text)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioLoadError(f"row {line}: bad datetime {text!r}") from exc
-        day = stamp.date().isoformat()
-        if day != label:
-            flush(line - 1)
-            label, records, first_line = day, [], line
-        if len(records) > 23:
-            raise ScenarioLoadError(f"row {line}: day {day} has more than 24 rows")
-        if stamp.hour != len(records):
-            raise ScenarioLoadError(
-                f"row {line}: expected hour {len(records)} of day {day}, got {stamp.hour}"
-            )
-        try:
-            observable = ObservableState(
-                temperature=_row_float(row, "temperature_c", line),
-                wind_speed=_row_float(row, "wind_mps", line),
-                solar_radiation=_row_float(row, "solar_wm2", line),
-                streamflow=_row_float(row, "streamflow_cms", line),
-                prior_day_rt_price=_parse_price_mwh(row["price_prior_rt_usd_mwh"]),
-                hour_of_day=stamp.hour,
-            )
-            hidden = HiddenState(
-                electric_load=_row_float(row, "load_kw", line),
-                heat_load=_row_float(row, "heat_load_klbh", line),
-                solar_output=_row_float(row, "solar_kw", line),
-                hydro_output=_row_float(row, "hydro_kw", line),
-                rt_price=_parse_price_mwh(row["price_rt_usd_mwh"]),
-            )
-        except ScenarioLoadError:
-            raise
-        except (ValueError, ArithmeticError) as exc:
-            raise ScenarioLoadError(f"row {line}: {exc}") from exc
-        records.append(
-            HourRecord(
-                observable=observable,
-                hidden=hidden,
-                gas_price=_row_float(row, "gas_usd_dth", line),
-            )
+        if len(row) < width:
+            absent = next(name for name in header[len(row) :] if name in position)
+            raise ScenarioLoadError(f"row {line}: column {absent!r} is missing")
+
+    labels = _day_labels([row[position["datetime"]] for row in rows])
+    shape = (len(labels), HOURS_PER_DAY)
+
+    def column(name: str) -> np.ndarray:
+        return _parse_column(name, [row[position[name]] for row in rows]).reshape(shape)
+
+    signals = np.stack([column(name) for name in SIGNAL_COLUMNS], axis=-1)
+    hidden = {field: column(name) for field, name in HIDDEN_COLUMNS.items()}
+    bad = domain_violation(hidden)
+    if bad is not None:
+        field, s, t, reason = bad
+        raise ScenarioLoadError(
+            f"row {2 + HOURS_PER_DAY * s + t}: column {HIDDEN_COLUMNS[field]!r}: {reason}"
         )
-    flush(len(rows) + 1)
-    return scenarios
+    return Ensemble(labels=labels, signals=signals, **hidden)
 
 
-def write_scenarios(scenarios: Sequence[Scenario], path: str | Path) -> None:
+def write_scenarios(ensemble: Ensemble, path: str | Path) -> None:
+    columns = {name: ensemble.signals[:, :, j] for j, name in enumerate(SIGNAL_COLUMNS)}
+    columns.update((name, getattr(ensemble, field)) for field, name in HIDDEN_COLUMNS.items())
+    text = [[f"{label}T{t:02d}:00" for label in ensemble.labels for t in range(HOURS_PER_DAY)]]
+    for name in SCHEMA[1:]:
+        render = _format_price_mwh if name in PRICE_COLUMNS else repr
+        text.append([render(v) for v in columns[name].ravel().tolist()])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCHEMA)
-        for scenario in scenarios:
-            for t, rec in enumerate(scenario.hours):
-                obs, hid = rec.observable, rec.hidden
-                writer.writerow(
-                    [
-                        f"{scenario.label}T{t:02d}:00",
-                        repr(float(obs.temperature)),
-                        repr(float(obs.wind_speed)),
-                        repr(float(obs.solar_radiation)),
-                        repr(float(obs.streamflow)),
-                        _format_price_mwh(obs.prior_day_rt_price),
-                        _format_price_mwh(hid.rt_price),
-                        repr(float(rec.gas_price)),
-                        repr(float(hid.electric_load)),
-                        repr(float(hid.heat_load)),
-                        repr(float(hid.solar_output)),
-                        repr(float(hid.hydro_output)),
-                    ]
-                )
+        writer.writerows(zip(*text))
 
 
-def split_by_season(scenarios: Sequence[Scenario]) -> tuple[list[Scenario], list[Scenario]]:
+def split_by_season(ensemble: Ensemble) -> tuple[Ensemble, Ensemble]:
     """October-April days are winter, May-September days are summer."""
-    winter: list[Scenario] = []
-    summer: list[Scenario] = []
-    for scenario in scenarios:
+    winter = []
+    for label in ensemble.labels:
         try:
-            month = date.fromisoformat(scenario.label).month
+            month = date.fromisoformat(label).month
         except ValueError as exc:
-            raise ValueError(f"unparseable scenario date label {scenario.label!r}") from exc
-        (winter if month in WINTER_MONTHS else summer).append(scenario)
-    return winter, summer
+            raise ValueError(f"unparseable scenario date label {label!r}") from exc
+        winter.append(month in WINTER_MONTHS)
+    mask = np.array(winter, dtype=bool)
+    return ensemble[mask], ensemble[~mask]
 
 
 @dataclass(frozen=True)
@@ -353,8 +343,8 @@ def synthetic_spec_from_dict(doc: Mapping) -> SyntheticSpec:
     )
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[Scenario]:
-    """Generate ``spec.days`` scenarios; identical specs give identical data.
+def generate_synthetic(spec: SyntheticSpec) -> Ensemble:
+    """Generate ``spec.days`` scenario-days; identical specs give identical data.
 
     The previous-day price forecast is an independent draw of the same
     price process, so it predicts the real-time price through the shared
@@ -364,46 +354,44 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Scenario]:
     season = spec.season
     rng = np.random.default_rng(spec.seed)
     start = date(2019, 1, 1) if season == "winter" else date(2019, 7, 1)
-    scenarios: list[Scenario] = []
-    for day in range(spec.days):
-        label = (start + timedelta(days=day)).isoformat()
+    observed: list[tuple[float, ...]] = []
+    hidden: dict[str, list[float]] = {field: [] for field in HOURLY_FIELDS}
+    for _ in range(spec.days):
         shocks = {name: rng.standard_normal(24) for name in SIGNAL_ORDER}
         prior_shocks = rng.standard_normal(24)
-        records: list[HourRecord] = []
         for t in range(24):
             base = {name: signals[name].value(t, shocks[name][t]) for name in SIGNAL_ORDER}
             temp_dev = base["temperature"] - signals["temperature"].mean
             solar_rad = max(base["solar_radiation"], 0.0)
             streamflow = max(base["streamflow"], 0.01)
-            electric_load = max(
-                base["electric_load"] + LOAD_TEMP_SLOPE[season] * temp_dev, 1000.0
-            )
-            heat_load = max(base["heat_load"] + HEAT_TEMP_SLOPE[season] * temp_dev, 0.0)
-            solar_kw = min(SOLAR_KW_PER_WM2 * solar_rad, SOLAR_CAP_KW)
-            hydro_kw = max(
-                base["hydro_output"]
-                + HYDRO_FLOW_SLOPE * (streamflow - signals["streamflow"].mean),
-                0.0,
-            )
-            records.append(
-                HourRecord(
-                    observable=ObservableState(
-                        temperature=base["temperature"],
-                        wind_speed=max(base["wind_speed"], 0.0),
-                        solar_radiation=solar_rad,
-                        streamflow=streamflow,
-                        prior_day_rt_price=signals["rt_price"].value(t, prior_shocks[t]),
-                        hour_of_day=t,
-                    ),
-                    hidden=HiddenState(
-                        electric_load=electric_load,
-                        heat_load=heat_load,
-                        solar_output=solar_kw,
-                        hydro_output=hydro_kw,
-                        rt_price=base["rt_price"],
-                    ),
-                    gas_price=max(base["gas_price"], 0.5),
+            observed.append(
+                (
+                    base["temperature"],
+                    max(base["wind_speed"], 0.0),
+                    solar_rad,
+                    streamflow,
+                    signals["rt_price"].value(t, prior_shocks[t]),
                 )
             )
-        scenarios.append(Scenario(label=label, hours=tuple(records)))
-    return scenarios
+            hidden["electric_load"].append(
+                max(base["electric_load"] + LOAD_TEMP_SLOPE[season] * temp_dev, 1000.0)
+            )
+            hidden["heat_load"].append(
+                max(base["heat_load"] + HEAT_TEMP_SLOPE[season] * temp_dev, 0.0)
+            )
+            hidden["solar"].append(min(SOLAR_KW_PER_WM2 * solar_rad, SOLAR_CAP_KW))
+            hidden["hydro"].append(
+                max(
+                    base["hydro_output"]
+                    + HYDRO_FLOW_SLOPE * (streamflow - signals["streamflow"].mean),
+                    0.0,
+                )
+            )
+            hidden["rt_price"].append(base["rt_price"])
+            hidden["gas_price"].append(max(base["gas_price"], 0.5))
+    shape = (spec.days, HOURS_PER_DAY)
+    return Ensemble(
+        labels=[(start + timedelta(days=d)).isoformat() for d in range(spec.days)],
+        signals=np.reshape(observed, shape + (-1,)),
+        **{field: np.reshape(values, shape) for field, values in hidden.items()},
+    )

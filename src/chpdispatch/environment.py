@@ -5,7 +5,8 @@ ensemble of scenario-days at once: normalized policy decisions in [0, 1]
 are mapped onto the feasible window of each unit (ramp limits anchored at
 the previous hour), the grid exchange closes the electric balance exactly,
 and every hour records its cost, emissions, heat-waste flag and heat
-reliability.  :func:`dispatch` is the one simulator; training reduces its
+reliability.  :class:`Ensemble` holds the scenario-days as arrays, and
+:func:`dispatch` is the one simulator; training reduces its
 per-hour arrays to daily objectives with :func:`day_objectives`, and
 ``evaluate`` writes its traces from the same arrays.
 
@@ -24,9 +25,9 @@ different policies or scenarios can run concurrently without shared state.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,58 +49,9 @@ HOURS_PER_DAY = 24
 
 
 @dataclass(frozen=True)
-class ObservableState:
-    """Signals available to the agent before it acts: weather, streamflow,
-    the previous day's real-time price, and the hour of day."""
-
-    temperature: float  # degC
-    wind_speed: float  # m/s
-    solar_radiation: float  # W/m^2
-    streamflow: float  # m^3/s
-    prior_day_rt_price: float  # $/kWh
-    hour_of_day: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.hour_of_day <= 23:
-            raise ValueError(f"hour_of_day must be in [0, 23], got {self.hour_of_day}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.temperature,
-                self.wind_speed,
-                self.solar_radiation,
-                self.streamflow,
-                self.prior_day_rt_price,
-                float(self.hour_of_day),
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class HiddenState:
-    """Realizations the agent never sees before acting: loads, renewable
-    outputs, and the real-time price."""
-
-    electric_load: float  # kW
-    heat_load: float  # klb/h
-    solar_output: float  # kW
-    hydro_output: float  # kW
-    rt_price: float  # $/kWh, may be negative
-
-    def __post_init__(self) -> None:
-        if self.electric_load <= 0.0:
-            raise ValueError(f"electric_load must be > 0, got {self.electric_load}")
-        if self.heat_load < 0.0:
-            raise ValueError(f"heat_load must be >= 0, got {self.heat_load}")
-        if self.solar_output < 0.0 or self.hydro_output < 0.0:
-            raise ValueError("renewable outputs must be >= 0")
-
-
-@dataclass(frozen=True)
 class Action:
-    """One hour's dispatch state, used as the state a scenario day starts
-    from; off units hold their outputs at zero."""
+    """One hour's dispatch state for the scalar component models; off
+    units hold their outputs at zero."""
 
     chp_power: tuple[float, ...]
     chp_steam: tuple[float, ...]
@@ -132,58 +84,96 @@ def decision_names(config: MicrogridConfig) -> list[str]:
     return names
 
 
-def default_initial_action(config: MicrogridConfig) -> Action:
-    """Warm start for hour 0 when a scenario does not supply one: every unit
-    on, CHPs at the midpoint of their power range, no steam."""
-    nc = len(config.chp)
-    return Action(
-        chp_power=tuple(0.5 * (c.p_min + c.p_max) for c in config.chp),
-        chp_steam=(0.0,) * nc,
-        boiler_steam=0.0,
-        chp_on=(True,) * nc,
-        boiler_on=True,
-    )
+#: Hidden hourly arrays of an :class:`Ensemble`, the kernel's exogenous input.
+HOURLY_FIELDS = ("electric_load", "heat_load", "solar", "hydro", "rt_price", "gas_price")
+
+#: Sign constraints on the hidden arrays: (field, rule, test against zero).
+DOMAIN = (
+    ("electric_load", "electric_load must be > 0", np.greater),
+    ("heat_load", "heat_load must be >= 0", np.greater_equal),
+    ("solar", "renewable outputs must be >= 0", np.greater_equal),
+    ("hydro", "renewable outputs must be >= 0", np.greater_equal),
+)
 
 
-def observations(scenarios: Sequence) -> np.ndarray:
-    """Raw policy inputs of every (scenario, hour), shape (S, 24, 6)."""
-    return np.array([[rec.observable.as_vector() for rec in sc.hours] for sc in scenarios])
+def domain_violation(hourly: Mapping[str, np.ndarray]) -> tuple[str, int, int, str] | None:
+    """(field, day, hour, reason) of the first hidden (S, 24) value outside
+    its domain, checking fields in :data:`DOMAIN` order; None if all hold."""
+    for name, rule, holds in DOMAIN:
+        values = hourly[name]
+        bad = ~holds(values, 0.0)
+        if bad.any():
+            s, t = np.argwhere(bad)[0]
+            return name, int(s), int(t), f"{rule}, got {float(values[s, t])}"
+    return None
 
 
-class Days(NamedTuple):
-    """Exogenous arrays of S scenario-days; hourly fields are (S, 24)."""
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """S scenario-days of exogenous information, one array per quantity.
 
+    ``signals`` is what a policy observes before it acts, shape (S, 24, 5)
+    in :data:`OBSERVABLE_SIGNALS` order; the policy's sixth input, the
+    hour of day, is the hour index.  The hidden hourly arrays are (S, 24).
+    ``init_power`` is the (S, nc) CHP power each day starts from (0 = unit
+    off); None starts every CHP on at the midpoint of its power range.
+    Every array is stored as a read-only C-contiguous float64 copy.
+    """
+
+    labels: tuple[str, ...]  # (S,) ISO dates
+    signals: np.ndarray
     electric_load: np.ndarray  # kW
     heat_load: np.ndarray  # klb/h
     solar: np.ndarray  # kW
     hydro: np.ndarray  # kW
-    rt_price: np.ndarray  # $/kWh
+    rt_price: np.ndarray  # $/kWh, may be negative
     gas_price: np.ndarray  # $/dth
-    init_power: np.ndarray  # (S, nc) kW each day starts from; 0 = unit off
+    init_power: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        labels = tuple(str(label) for label in self.labels)
+        object.__setattr__(self, "labels", labels)
+        shapes = {"signals": (len(labels), HOURS_PER_DAY, len(OBSERVABLE_SIGNALS))}
+        shapes.update((name, (len(labels), HOURS_PER_DAY)) for name in HOURLY_FIELDS)
+        if self.init_power is not None:
+            shapes["init_power"] = (len(labels), np.shape(self.init_power)[-1])
+        for name, shape in shapes.items():
+            array = np.array(getattr(self, name), dtype=float, order="C")
+            if array.shape != shape:
+                raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+            finite = np.isfinite(array)
+            if not finite.all():
+                day = labels[np.argwhere(~finite)[0][0]]
+                raise ValueError(f"{name} of day {day}: non-finite value")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        bad = domain_violation(vars(self))
+        if bad is not None:
+            name, s, t, reason = bad
+            raise ValueError(f"{name} of day {labels[s]} hour {t}: {reason}")
+        if self.init_power is not None and np.any(self.init_power < 0.0):
+            raise ValueError("init_power must be >= 0")
 
-def day_arrays(scenarios: Sequence, config: MicrogridConfig) -> Days:
-    """Stack a scenario list into :class:`Days`; a day without its own
-    initial state starts from :func:`default_initial_action`."""
-    if len(scenarios) == 0:
-        raise ValueError("scenario list must be nonempty")
+    def __len__(self) -> int:
+        return len(self.labels)
 
-    def hourly(value) -> np.ndarray:
-        return np.array([[value(rec) for rec in sc.hours] for sc in scenarios], dtype=float)
+    def __getitem__(self, index) -> "Ensemble":
+        """The days at ``index`` (an int, slice, index array or boolean
+        mask) as a new ensemble; an int selects a one-day ensemble."""
+        rows = np.atleast_1d(np.arange(len(self))[index])
+        return replace(
+            self,
+            labels=[self.labels[s] for s in rows],
+            **{name: getattr(self, name)[rows] for name in ("signals", *HOURLY_FIELDS)},
+            init_power=None if self.init_power is None else self.init_power[rows],
+        )
 
-    def start_power(sc) -> list[float]:
-        start = sc.initial_action or default_initial_action(config)
-        return [p if on and p > 0.0 else 0.0 for p, on in zip(start.chp_power, start.chp_on)]
-
-    return Days(
-        electric_load=hourly(lambda rec: rec.hidden.electric_load),
-        heat_load=hourly(lambda rec: rec.hidden.heat_load),
-        solar=hourly(lambda rec: rec.hidden.solar_output),
-        hydro=hourly(lambda rec: rec.hidden.hydro_output),
-        rt_price=hourly(lambda rec: rec.hidden.rt_price),
-        gas_price=hourly(lambda rec: rec.gas_price),
-        init_power=np.array([start_power(sc) for sc in scenarios], dtype=float),
-    )
+    def policy_inputs(self) -> np.ndarray:
+        """Raw policy inputs of every (day, hour), shape (S, 24, 6): the
+        five signals, then the hour of day."""
+        hours = np.arange(float(HOURS_PER_DAY))[:, None]
+        hours = np.broadcast_to(hours, (len(self), HOURS_PER_DAY, 1))
+        return np.concatenate([self.signals, hours], axis=2)
 
 
 class Dispatch(NamedTuple):
@@ -203,7 +193,7 @@ class Dispatch(NamedTuple):
     reliable: np.ndarray  # >= 95 % of the heat load met
 
 
-def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
+def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch:
     """Map decisions ``u`` of shape (S, 24, k) onto the plant, hour by hour.
 
     CHP power maps affinely onto the ramp-and-capacity window
@@ -220,10 +210,12 @@ def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
     """
     cfg = config
     nc = len(cfg.chp)
-    S = len(days.init_power)
+    S = len(days)
     k = decision_dim(cfg)
     if u.shape != (S, HOURS_PER_DAY, k):
         raise ValueError(f"expected decisions of shape {(S, HOURS_PER_DAY, k)}, got {u.shape}")
+    if days.init_power is not None and days.init_power.shape != (S, nc):
+        raise ValueError(f"expected initial power of shape {(S, nc)}, got {days.init_power.shape}")
     if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("decisions must lie in [0, 1]")
 
@@ -258,7 +250,10 @@ def dispatch(u: np.ndarray, days: Days, config: MicrogridConfig) -> Dispatch:
     u_power = cols[:nc].transpose(2, 0, 1).copy()  # (24, nc, S)
     on_power = chp_on.transpose(2, 0, 1).copy()
     power = np.zeros((HOURS_PER_DAY, nc, S))  # off units stay at zero
-    prev = days.init_power.T.copy()
+    if days.init_power is None:  # every CHP starts on, mid-range
+        prev = 0.5 * (p_min + p_max)
+    else:
+        prev = days.init_power.T.copy()
     for t in range(HOURS_PER_DAY):
         # ChpParams keeps ramp_down < 0, so an off unit's lower edge is p_min.
         anchor = np.where(prev > zero, prev, p_min)
@@ -344,14 +339,15 @@ class DayResult(NamedTuple):
     trace: Dispatch  # one scenario-day, S = 1
 
 
-def simulate_day(policy, scenario, config: MicrogridConfig) -> DayResult:
-    """Run one policy through one 24-hour scenario.
+def simulate_day(policy, day: Ensemble, config: MicrogridConfig) -> DayResult:
+    """Run one policy through a one-day ensemble.
 
-    Deterministic: the same (policy, scenario, config) triple always yields
+    Deterministic: the same (policy, day, config) triple always yields
     bit-identical outcomes.
     """
-    u = policy.forward(observations([scenario]))
-    trace = dispatch(u, day_arrays([scenario], config), config)
+    if len(day) != 1:
+        raise ValueError(f"simulate_day needs a one-day ensemble, got {len(day)} days")
+    trace = dispatch(policy.forward(day.policy_inputs()), day, config)
     objectives, violation = day_objectives(trace)
     return DayResult(objectives[:, 0], float(violation[0]), trace)
 

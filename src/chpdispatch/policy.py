@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
+
+from .environment import Ensemble
 
 #: Search box half-width for policy weights; sigmoids saturate well inside.
 DEFAULT_WEIGHT_BOUND = 10.0
@@ -52,13 +52,11 @@ class InputNormalization:
         )
 
     @classmethod
-    def from_scenarios(cls, scenarios: Sequence) -> "InputNormalization":
+    def from_scenarios(cls, scenarios: Ensemble) -> "InputNormalization":
         """Min-max scaling fitted on a scenario set, frozen into the policy
         artifact so training and evaluation share identical inputs.  The
         hour-of-day input is always hour / 23."""
-        signals = np.array(
-            [rec.observable.as_vector()[:-1] for sc in scenarios for rec in sc.hours]
-        )
+        signals = scenarios.signals.reshape(-1, scenarios.signals.shape[-1])
         lo = signals.min(axis=0)
         hi = signals.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
@@ -107,7 +105,7 @@ class PolicyNetwork:
         return w1, b1, w2, b2
 
     def _raw_inputs(self, obs) -> np.ndarray:
-        raw = obs.as_vector() if hasattr(obs, "as_vector") else np.asarray(obs, float)
+        raw = np.asarray(obs, float)
         if raw.shape[-1:] != (self.input_dim,):
             raise ValueError(f"expected {self.input_dim} inputs, got {raw.shape}")
         return raw

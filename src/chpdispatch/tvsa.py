@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import HOURS_PER_DAY, OBSERVABLE_SIGNALS, decision_names, observations
+from .environment import HOURS_PER_DAY, OBSERVABLE_SIGNALS, Ensemble, decision_names
 from .grid_model import MicrogridConfig
 
 N_SIGNALS = len(OBSERVABLE_SIGNALS)
@@ -37,21 +37,19 @@ GRADIENT_AT_MEAN = "mean"
 GRADIENT_PER_SCENARIO = "per_scenario"
 
 
-def ensemble_moments(scenarios: Sequence, hour: int) -> tuple[np.ndarray, np.ndarray]:
+def ensemble_moments(scenarios: Ensemble, hour: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and unbiased covariance of the five exogenous signals at
     one hour, across the scenario ensemble."""
     if len(scenarios) < 2:
         raise ValueError("ensemble moments need at least 2 scenarios")
-    signals = np.array(
-        [sc.hours[hour].observable.as_vector()[:N_SIGNALS] for sc in scenarios]
-    )
+    signals = scenarios.signals[:, hour]
     mean = signals.mean(axis=0)
     cov = np.cov(signals.T, ddof=1)
     return mean, np.atleast_2d(cov)
 
 
 def _hour_terms(
-    policy, scenarios: Sequence, hour: int, gradient_at: str
+    policy, scenarios: Ensemble, hour: int, gradient_at: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Taylor terms of every decision at one hour: first-order (k, 5) and
     signed, symmetric, zero-diagonal interactions (k, 5, 5), from the
@@ -60,7 +58,7 @@ def _hour_terms(
     if gradient_at == GRADIENT_AT_MEAN:
         grads = policy.input_gradient(np.append(mean, float(hour)))[:, :N_SIGNALS]
     elif gradient_at == GRADIENT_PER_SCENARIO:
-        rows = np.array([sc.hours[hour].observable.as_vector() for sc in scenarios])
+        rows = scenarios.policy_inputs()[:, hour]
         grads = np.mean(policy.input_gradient(rows)[:, :, :N_SIGNALS], axis=0)
     else:
         raise ValueError(f"gradient_at must be 'mean' or 'per_scenario', got {gradient_at!r}")
@@ -72,7 +70,7 @@ def _hour_terms(
 
 def decompose(
     policy,
-    scenarios: Sequence,
+    scenarios: Ensemble,
     hour: int,
     decision: int,
     gradient_at: str = GRADIENT_AT_MEAN,
@@ -157,7 +155,7 @@ def forced_off_mask(outputs: np.ndarray, config: MicrogridConfig) -> np.ndarray:
 
 def build_report(
     policy,
-    scenarios: Sequence,
+    scenarios: Ensemble,
     decision_labels: Sequence[str] | None = None,
     gradient_at: str = GRADIENT_AT_MEAN,
     config: MicrogridConfig | None = None,
@@ -177,7 +175,7 @@ def build_report(
         )
     if len(decision_labels) != k:
         raise ValueError("decision label count must match policy outputs")
-    outputs = policy.forward(observations(scenarios))  # (S, 24, k)
+    outputs = policy.forward(scenarios.policy_inputs())  # (S, 24, k)
     off = (
         forced_off_mask(outputs, config)
         if config is not None

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from chpdispatch.data import HourRecord, Scenario, SyntheticSpec, generate_synthetic
-from chpdispatch.environment import HiddenState, ObservableState, decision_dim
+from chpdispatch.data import SyntheticSpec, generate_synthetic
+from chpdispatch.environment import HOURLY_FIELDS, Ensemble, decision_dim
 from chpdispatch.grid_model import MicrogridConfig, default_config
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 
@@ -58,48 +60,58 @@ def constant_scenario(
     hydro_kw: float = 1000.0,
     rt_price: float = 0.05,
     gas_price: float = 3.5,
-) -> Scenario:
-    hours = tuple(
-        HourRecord(
-            observable=ObservableState(
-                temperature=temperature,
-                wind_speed=wind,
-                solar_radiation=solar_rad,
-                streamflow=streamflow,
-                prior_day_rt_price=prior_price,
-                hour_of_day=t,
-            ),
-            hidden=HiddenState(
-                electric_load=load,
-                heat_load=heat_load,
-                solar_output=solar_kw,
-                hydro_output=hydro_kw,
-                rt_price=rt_price,
-            ),
-            gas_price=gas_price,
-        )
-        for t in range(24)
+    init_power=None,
+) -> Ensemble:
+    """One day whose every hour carries the same values."""
+
+    def hourly(value: float) -> np.ndarray:
+        return np.full((1, 24), value)
+
+    return Ensemble(
+        labels=[label],
+        signals=np.tile([temperature, wind, solar_rad, streamflow, prior_price], (1, 24, 1)),
+        electric_load=hourly(load),
+        heat_load=hourly(heat_load),
+        solar=hourly(solar_kw),
+        hydro=hourly(hydro_kw),
+        rt_price=hourly(rt_price),
+        gas_price=hourly(gas_price),
+        init_power=None if init_power is None else [init_power],
     )
-    return Scenario(label=label, hours=hours)
 
 
-def scenario_to_plain(scenario: Scenario, config: MicrogridConfig) -> dict:
-    """Strip a scenario to plain lists for the independent oracle."""
-    from chpdispatch.environment import default_initial_action
+def stack(*parts: Ensemble) -> Ensemble:
+    """The days of several ensembles, in order, as one ensemble."""
+    arrays = {
+        name: np.concatenate([getattr(p, name) for p in parts])
+        for name in ("signals", *HOURLY_FIELDS)
+    }
+    starts = [p.init_power for p in parts]
+    return dataclasses.replace(
+        parts[0],
+        labels=[label for p in parts for label in p.labels],
+        init_power=None if starts[0] is None else np.concatenate(starts),
+        **arrays,
+    )
 
-    start = scenario.initial_action or default_initial_action(config)
+
+def scenario_to_plain(day: Ensemble, config: MicrogridConfig) -> dict:
+    """Strip a one-day ensemble to plain lists for the independent oracle.
+    Without its own start, every CHP starts at the midpoint of its range."""
+    assert len(day) == 1
+    if day.init_power is None:
+        init_power = [0.5 * (c.p_min + c.p_max) for c in config.chp]
+    else:
+        init_power = day.init_power[0].tolist()
     return {
-        "obs": [list(rec.observable.as_vector()) for rec in scenario.hours],
-        "load": [rec.hidden.electric_load for rec in scenario.hours],
-        "heat_load": [rec.hidden.heat_load for rec in scenario.hours],
-        "solar": [rec.hidden.solar_output for rec in scenario.hours],
-        "hydro": [rec.hidden.hydro_output for rec in scenario.hours],
-        "rt_price": [rec.hidden.rt_price for rec in scenario.hours],
-        "gas_price": [rec.gas_price for rec in scenario.hours],
-        "init_power": [
-            p if (on and p > 0.0) else 0.0
-            for p, on in zip(start.chp_power, start.chp_on)
-        ],
+        "obs": [row + [float(t)] for t, row in enumerate(day.signals[0].tolist())],
+        "load": day.electric_load[0].tolist(),
+        "heat_load": day.heat_load[0].tolist(),
+        "solar": day.solar[0].tolist(),
+        "hydro": day.hydro[0].tolist(),
+        "rt_price": day.rt_price[0].tolist(),
+        "gas_price": day.gas_price[0].tolist(),
+        "init_power": init_power,
     }
 
 

@@ -18,7 +18,7 @@ import pytest
 from chpdispatch.batch import BatchEvaluator
 from chpdispatch.cli import main
 from chpdispatch.data import SyntheticSpec, generate_synthetic, load_scenarios, write_scenarios
-from chpdispatch.environment import Days, dispatch, simulate_day
+from chpdispatch.environment import HOURLY_FIELDS, Ensemble, dispatch, simulate_day
 from chpdispatch.grid_model import (
     boiler_fuel,
     chp_efficiency,
@@ -84,7 +84,7 @@ def test_criterion_2_simulator_matches_independent_oracle():
         season = "winter" if i % 2 == 0 else "summer"
         config = default_config(season)
         scenario = (winter if season == "winter" else summer)[i // 2]
-        policy = make_policy(rng, config, [scenario], scale=5.0)
+        policy = make_policy(rng, config, scenario, scale=5.0)
         day = simulate_day(policy, scenario, config)
         expected = oracle_simulate_day(
             scenario_to_plain(scenario, config),
@@ -125,7 +125,7 @@ def test_criterion_3_feasibility_and_load_balance_invariants():
     }
 
     cases = 10_000
-    rows = {id(cfg): [] for cfg in configs}  # (decisions, hidden record, previous power)
+    rows = {id(cfg): [] for cfg in configs}  # (decisions, day, hour, previous power)
     for n in range(cases):
         cfg = configs[n % len(configs)]
         scenario = pools[cfg.season][int(rng.integers(10))]
@@ -137,8 +137,8 @@ def test_criterion_3_feasibility_and_load_balance_invariants():
                 prev.append(0.0)  # unit was off
             else:
                 prev.append(float(rng.uniform(c.p_min, c.p_max)))
-        record = scenario.hours[hour]
-        rows[id(cfg)].append((policy.forward(record.observable), record, prev))
+        u = policy.forward(scenario.policy_inputs()[0, hour])
+        rows[id(cfg)].append((u, scenario, hour, prev))
 
     worst_residual = 0.0
     checked = 0
@@ -146,18 +146,16 @@ def test_criterion_3_feasibility_and_load_balance_invariants():
         group = rows[id(cfg)]
 
         def hourly(field):
-            return np.repeat(np.array([field(rec) for _, rec, _ in group])[:, None], 24, axis=1)
+            at_hour = np.array([getattr(day, field)[0, hour] for _, day, hour, _ in group])
+            return np.repeat(at_hour[:, None], 24, axis=1)
 
-        days = Days(
-            electric_load=hourly(lambda rec: rec.hidden.electric_load),
-            heat_load=hourly(lambda rec: rec.hidden.heat_load),
-            solar=hourly(lambda rec: rec.hidden.solar_output),
-            hydro=hourly(lambda rec: rec.hidden.hydro_output),
-            rt_price=hourly(lambda rec: rec.hidden.rt_price),
-            gas_price=hourly(lambda rec: rec.gas_price),
-            init_power=np.array([prev for _, _, prev in group]),
+        days = Ensemble(
+            labels=[day.labels[0] for _, day, _, _ in group],
+            signals=hourly("signals"),
+            **{field: hourly(field) for field in HOURLY_FIELDS},
+            init_power=np.array([prev for _, _, _, prev in group]),
         )
-        u = np.repeat(np.array([u for u, _, _ in group])[:, None, :], 24, axis=1)
+        u = np.repeat(np.array([u for u, _, _, _ in group])[:, None, :], 24, axis=1)
         d = dispatch(u, days, cfg)
         prev = days.init_power
         for i, c in enumerate(cfg.chp):
@@ -236,7 +234,7 @@ def test_criterion_5_tvsa_exactness():
 
         first, second = decompose(policy, scenarios, 13, 0)
         total = float(first.sum() + 2.0 * np.triu(second, 1).sum())
-        u = np.array([policy.forward(s.hours[13].observable)[0] for s in scenarios])
+        u = policy.forward(scenarios.policy_inputs()[:, 13])[:, 0]
         assert abs(total - float(np.var(u, ddof=1))) < 1e-9 * max(1.0, abs(total))
 
     # (b) near-linear sigmoid policy on a 200-scenario ensemble: within 5 %

@@ -230,7 +230,7 @@ class TestEvaluate:
         from chpdispatch.data import load_scenarios
 
         fixture = tmp_path / "constant.csv"
-        write_scenarios([constant_scenario()], fixture)
+        write_scenarios(constant_scenario(), fixture)
         scenarios = load_scenarios(fixture)
         norm = InputNormalization.from_scenarios(scenarios)
         policy = PolicyNetwork.decode(np.zeros(weight_count(6, 15, 5)), 6, 15, 5, norm)

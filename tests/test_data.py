@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from chpdispatch.data import (
-    Scenario,
     ScenarioLoadError,
     SignalSpec,
     SyntheticSpec,
@@ -19,19 +21,21 @@ from chpdispatch.data import (
     synthetic_spec_to_dict,
     write_scenarios,
 )
+from chpdispatch.environment import HOURLY_FIELDS, Ensemble
 
 from conftest import constant_scenario
 
+#: sha256 of the 7-day winter desk-study file, seed 7 (criterion 8's input).
+DESK_STUDY_CSV_SHA256 = "a13f6743308e262d12b90d96af584d7c6f55d72363614541423bd40c7ba960d2"
 
-def scenarios_equal(a: Scenario, b: Scenario) -> bool:
-    if a.label != b.label or len(a.hours) != len(b.hours):
+
+def scenarios_equal(a: Ensemble, b: Ensemble) -> bool:
+    """Same labels, and every array with the same shape and bits."""
+    if a.labels != b.labels:
         return False
-    for ra, rb in zip(a.hours, b.hours):
-        if ra.observable != rb.observable:
-            return False
-        if ra.hidden != rb.hidden:
-            return False
-        if ra.gas_price != rb.gas_price:
+    for name in ("signals", *HOURLY_FIELDS):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.shape != y.shape or x.tobytes() != y.tobytes():
             return False
     return True
 
@@ -42,7 +46,12 @@ class TestSyntheticGenerator:
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
         assert len(a) == len(b) == 3
-        assert all(scenarios_equal(x, y) for x, y in zip(a, b))
+        assert scenarios_equal(a, b)
+
+    def test_desk_study_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "winter7.csv"
+        write_scenarios(generate_synthetic(SyntheticSpec(seed=7, days=7)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_STUDY_CSV_SHA256
 
     def test_zero_noise_gives_pure_sinusoids(self):
         overrides = {
@@ -52,36 +61,33 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(seed=1, days=2, overrides=overrides)
         days = generate_synthetic(spec)
         temp_spec = overrides["temperature"]
-        for scenario in days:
-            for t, rec in enumerate(scenario.hours):
-                assert rec.observable.temperature == pytest.approx(
-                    temp_spec.value(t, 0.0), abs=1e-12
-                )
+        for s in range(2):
+            for t in range(24):
+                assert days.signals[s, t, 0] == pytest.approx(temp_spec.value(t, 0.0), abs=1e-12)
         # no noise: both days identical apart from the label
-        assert days[0].hours == days[1].hours
+        assert scenarios_equal(dataclasses.replace(days[1], labels=days.labels[:1]), days[0])
 
     def test_flat_spec_gives_constant_signals(self):
         overrides = {name: SignalSpec(5.0, 0.0, 0.0, 0.0) for name in (
             "temperature", "wind_speed", "solar_radiation", "streamflow",
             "rt_price", "gas_price", "electric_load", "heat_load", "hydro_output",
         )}
-        # electric load floor keeps HiddenState valid
+        # electric load floor keeps the ensemble's load domain valid
         overrides["electric_load"] = SignalSpec(20000.0, 0.0, 0.0, 0.0)
         days = generate_synthetic(SyntheticSpec(seed=9, days=1, overrides=overrides))
-        values = {rec.observable.temperature for rec in days[0].hours}
-        assert values == {5.0}
+        assert set(days.signals[0, :, 0].tolist()) == {5.0}
 
     def test_loads_follow_temperature(self):
         scenarios = generate_synthetic(SyntheticSpec(seed=11, days=30))
-        temp = np.array([r.observable.temperature for s in scenarios for r in s.hours])
-        heat = np.array([r.hidden.heat_load for s in scenarios for r in s.hours])
+        temp = scenarios.signals[:, :, 0].ravel()
+        heat = scenarios.heat_load.ravel()
         assert np.corrcoef(temp, heat)[0, 1] < -0.5  # winter heating correlation
 
     def test_season_labels(self):
         winter = generate_synthetic(SyntheticSpec(seed=1, days=2))
         summer = generate_synthetic(SyntheticSpec(seed=1, days=2, season="summer"))
-        assert winter[0].label.startswith("2019-01")
-        assert summer[0].label.startswith("2019-07")
+        assert winter.labels[0].startswith("2019-01")
+        assert summer.labels[0].startswith("2019-07")
 
     def test_spec_dict_round_trip(self):
         spec = SyntheticSpec(
@@ -106,7 +112,7 @@ class TestCsvRoundTrip:
         write_scenarios(scenarios, path)
         loaded = load_scenarios(path)
         assert len(loaded) == 3
-        assert all(scenarios_equal(a, b) for a, b in zip(scenarios, loaded))
+        assert scenarios_equal(scenarios, loaded)
 
     def test_price_scaling_is_exactly_invertible(self):
         rng = np.random.default_rng(3)
@@ -188,6 +194,28 @@ class TestLoaderErrors:
         with pytest.raises(ScenarioLoadError, match="row 8"):
             load_scenarios(path)
 
+    @pytest.mark.parametrize("text,reason", [("abc", "not numeric"), ("inf", "not finite")])
+    def test_bad_price_names_column_and_row(self, tmp_path, text, reason):
+        def mangle(lines):
+            parts = lines[9].split(",")
+            parts[6] = text
+            lines[9] = ",".join(parts)
+            return lines
+
+        path = _write_rows(tmp_path, mutate=mangle)
+        match = f"row 10: column 'price_rt_usd_mwh' is {reason}"
+        with pytest.raises(ScenarioLoadError, match=match):
+            load_scenarios(path)
+
+    def test_short_row_names_missing_column(self, tmp_path):
+        def truncate(lines):
+            lines[4] = lines[4].rsplit(",", 1)[0]
+            return lines
+
+        path = _write_rows(tmp_path, mutate=truncate)
+        with pytest.raises(ScenarioLoadError, match="row 5: column 'hydro_kw' is missing"):
+            load_scenarios(path)
+
     def test_out_of_order_hours_rejected(self, tmp_path):
         def swap(lines):
             lines[1], lines[2] = lines[2], lines[1]
@@ -208,18 +236,39 @@ class TestLoaderErrors:
         with pytest.raises(ScenarioLoadError, match="row 3"):
             load_scenarios(path)
 
+    def test_repeated_day_reports_row(self, tmp_path):
+        # 2019-01-01, 2019-01-02, then 2019-01-01 again
+        path = _write_rows(tmp_path, mutate=lambda lines: lines + lines[1:25])
+        with pytest.raises(ScenarioLoadError, match="row 50: day 2019-01-01 repeats"):
+            load_scenarios(path)
+
+    def test_timestamp_off_the_hour_reports_row(self, tmp_path):
+        def half_past(lines):
+            lines[1] = lines[1].replace("T00:00", "T00:30", 1)
+            return lines
+
+        path = _write_rows(tmp_path, mutate=half_past)
+        with pytest.raises(ScenarioLoadError, match="row 2: .* not on the hour"):
+            load_scenarios(path)
+
 
 class TestScenarioInvariants:
     def test_needs_24_hours(self):
         full = constant_scenario()
         with pytest.raises(ValueError):
-            Scenario(label="2019-01-10", hours=full.hours[:23])
+            dataclasses.replace(full, heat_load=full.heat_load[:, :23])
 
-    def test_hours_must_be_in_order(self):
+    @pytest.mark.parametrize(
+        "field,value", [("electric_load", 0.0), ("heat_load", -1.0), ("hydro", -1.0),
+                        ("solar", np.nan), ("rt_price", np.inf)],
+    )
+    def test_rejects_values_outside_the_domain(self, field, value):
         full = constant_scenario()
-        shuffled = (full.hours[1],) + (full.hours[0],) + full.hours[2:]
-        with pytest.raises(ValueError):
-            Scenario(label="2019-01-10", hours=shuffled)
+        values = getattr(full, field).copy()
+        values[0, 5] = value
+        reason = "must be" if np.isfinite(value) else "non-finite"
+        with pytest.raises(ValueError, match=f"{field} of day 2019-01-10.*{reason}"):
+            dataclasses.replace(full, **{field: values})
 
 
 class TestSeasonSplit:
@@ -236,13 +285,11 @@ class TestSeasonSplit:
     )
     def test_month_ranges(self, label, season):
         scenario = constant_scenario(label=label)
-        winter, summer = split_by_season([scenario])
-        if season == "winter":
-            assert winter == [scenario] and summer == []
-        else:
-            assert summer == [scenario] and winter == []
+        winter, summer = split_by_season(scenario)
+        chosen, other = (winter, summer) if season == "winter" else (summer, winter)
+        assert scenarios_equal(chosen, scenario) and len(other) == 0
 
     def test_unparseable_label_rejected(self):
         scenario = constant_scenario(label="jan-15")
         with pytest.raises(ValueError):
-            split_by_season([scenario])
+            split_by_season(scenario)

@@ -18,14 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chpdispatch.data import SyntheticSpec, generate_synthetic
-from chpdispatch.environment import (
-    Action,
-    day_arrays,
-    day_objectives,
-    decision_dim,
-    dispatch,
-    observations,
-)
+from chpdispatch.environment import day_objectives, decision_dim, dispatch
 from chpdispatch.grid_model import default_config
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 
@@ -82,35 +75,36 @@ day_edits = st.fixed_dictionaries(
 )
 
 
-def edited_day(scenario, cfg, edit):
-    hours = []
-    for t, rec in enumerate(scenario.hours):
-        hidden = rec.hidden
-        if t in edit["zero_heat_hours"]:
-            hidden = dataclasses.replace(hidden, heat_load=0.0)
-        if t in edit["negative_price_hours"]:
-            hidden = dataclasses.replace(hidden, rt_price=edit["negative_price"])
-        hours.append(dataclasses.replace(rec, hidden=hidden))
-    start = None
-    if edit["start"] is not None:
-        powers = []
-        for c, how in zip(cfg.chp, edit["start"]):
-            if how == "off":
-                powers.append(0.0)
-            elif how == "p_min":
-                powers.append(c.p_min)
-            elif how == "p_max":
-                powers.append(c.p_max)
-            else:
-                powers.append(c.p_min + how * (c.p_max - c.p_min))
-        start = Action(
-            chp_power=tuple(powers),
-            chp_steam=(0.0,) * len(powers),
-            boiler_steam=0.0,
-            chp_on=tuple(p > 0.0 for p in powers),
-            boiler_on=True,
-        )
-    return dataclasses.replace(scenario, hours=tuple(hours), initial_action=start)
+def start_powers(cfg, start):
+    """CHP powers a day starts from; None is the midpoint default."""
+    if start is None:
+        return [0.5 * (c.p_min + c.p_max) for c in cfg.chp]
+    powers = []
+    for c, how in zip(cfg.chp, start):
+        if how == "off":
+            powers.append(0.0)
+        elif how == "p_min":
+            powers.append(c.p_min)
+        elif how == "p_max":
+            powers.append(c.p_max)
+        else:
+            powers.append(c.p_min + how * (c.p_max - c.p_min))
+    return powers
+
+
+def edited_days(pool, cfg, edits):
+    """Pool days with zeroed heat loads and negative prices in the chosen
+    hours.  The ensemble keeps the kernel's default start when no day
+    gives its own."""
+    days = pool[[e["pool_index"] for e in edits]]
+    heat_load, rt_price = days.heat_load.copy(), days.rt_price.copy()
+    for s, e in enumerate(edits):
+        heat_load[s, sorted(e["zero_heat_hours"])] = 0.0
+        rt_price[s, sorted(e["negative_price_hours"])] = e["negative_price"]
+    init_power = None
+    if any(e["start"] is not None for e in edits):
+        init_power = [start_powers(cfg, e["start"]) for e in edits]
+    return dataclasses.replace(days, heat_load=heat_load, rt_price=rt_price, init_power=init_power)
 
 
 def pinned_policy(cfg, scenarios, seed, scale, pins):
@@ -141,16 +135,16 @@ def pinned_policy(cfg, scenarios, seed, scale, pins):
 def test_kernel_matches_oracle(spec, days, seed, scale, pins):
     cfg = plant(spec)
     pool = POOLS[spec["season"]]
-    scenarios = [edited_day(pool[e["pool_index"]], cfg, e) for e in days]
+    scenarios = edited_days(pool, cfg, days)
     policy = pinned_policy(cfg, pool, seed, scale, pins)
 
-    u = policy.forward(observations(scenarios))
-    objectives, violation = day_objectives(dispatch(u, day_arrays(scenarios, cfg), cfg))
+    u = policy.forward(scenarios.policy_inputs())
+    objectives, violation = day_objectives(dispatch(u, scenarios, cfg))
 
     weights = [float(w) for w in policy.weights]
-    for s, scenario in enumerate(scenarios):
+    for s in range(len(scenarios)):
         cost, emission, waste, oracle_violation = oracle_simulate_day(
-            scenario_to_plain(scenario, cfg), weights, policy_to_plain(policy),
+            scenario_to_plain(scenarios[s], cfg), weights, policy_to_plain(policy),
             config_to_plain(cfg),
         )  # fmt: skip
         assert abs(objectives[0, s] - cost) < 1e-9

@@ -12,13 +12,11 @@ from chpdispatch.batch import BatchEvaluator
 from chpdispatch.environment import (
     Action,
     Dispatch,
-    day_arrays,
     day_objectives,
     decision_dim,
     decision_names,
     dispatch,
     export_trace,
-    observations,
     simulate_day,
 )
 from chpdispatch.grid_model import BoilerParams, LB_PER_METRIC_TON, default_config, total_gas
@@ -30,6 +28,7 @@ from conftest import (
     make_policy,
     policy_to_plain,
     scenario_to_plain,
+    stack,
 )
 from oracle import oracle_simulate_day
 
@@ -51,14 +50,14 @@ def all_switchable_config():
     )
 
 
-def constant_day(u, cfg, scenarios=None, start=None):
-    """Dispatch the same decision row ``u`` in every hour of each scenario
-    (default: one constant scenario), optionally from a given start state."""
-    scenarios = scenarios or [constant_scenario()]
+def constant_day(u, cfg, days=None, start=None):
+    """Dispatch the same decision row ``u`` in every hour of each day
+    (default: one constant scenario), optionally from given CHP powers."""
+    days = constant_scenario() if days is None else days
     if start is not None:
-        scenarios = [dataclasses.replace(s, initial_action=start) for s in scenarios]
-    u = np.broadcast_to(np.asarray(u, dtype=float), (len(scenarios), 24, decision_dim(cfg)))
-    return dispatch(u, day_arrays(scenarios, cfg), cfg)
+        days = dataclasses.replace(days, init_power=np.tile(start, (len(days), 1)))
+    u = np.broadcast_to(np.asarray(u, dtype=float), (len(days), 24, decision_dim(cfg)))
+    return dispatch(u, days, cfg)
 
 
 def hour_action(d: Dispatch, s: int, t: int) -> Action:
@@ -124,16 +123,12 @@ class TestClampAction:
 
     def test_restart_window_anchored_at_minimum(self):
         cfg = tight_ramp_config("summer")
-        start = Action(
-            chp_power=(14000.0, 0.0), chp_steam=(0.0, 0.0), boiler_steam=0.0,
-            chp_on=(True, False), boiler_on=True,
-        )
-        d = constant_day([0.5, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0], cfg, start=start)
+        d = constant_day([0.5, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0], cfg, start=[14000.0, 0.0])
         # re-entering unit may reach at most p_min + ramp_up
         assert d.power[0, 0, 1] == min(16000.0, 12000.0 + 1500.0)
 
     def test_rejects_bad_inputs(self, winter_config):
-        days = day_arrays([constant_scenario()], winter_config)
+        days = constant_scenario()
         with pytest.raises(ValueError):
             dispatch(np.full((1, 24, 4), 0.5), days, winter_config)
         u = np.full((1, 24, 5), 0.5)
@@ -148,14 +143,13 @@ class TestClampAction:
         rng = np.random.default_rng(42)
         for cfg in (tight_ramp_config(), tight_ramp_config("summer"), summer_config):
             k = decision_dim(cfg)
-            days = day_arrays([constant_scenario()] * 300, cfg)
             start = np.array(
                 [
                     [0.0 if rng.random() < 0.3 else rng.uniform(c.p_min, c.p_max) for c in cfg.chp]
                     for _ in range(300)
                 ]
             )
-            days = days._replace(init_power=start)
+            days = dataclasses.replace(constant_scenario()[[0] * 300], init_power=start)
             d = dispatch(rng.random((300, 24, k)), days, cfg)
             prev = np.concatenate([start[:, None, :], d.power[:, :-1, :]], axis=1)
             for i, c in enumerate(cfg.chp):
@@ -175,15 +169,15 @@ class TestClampAction:
 class TestLoadBalance:
     def test_exact_cover(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(12), winter_config, winter_scenarios, scale=5.0)
-        days = day_arrays(winter_scenarios, winter_config)
-        d = dispatch(policy.forward(observations(winter_scenarios)), days, winter_config)
+        days = winter_scenarios
+        d = dispatch(policy.forward(days.policy_inputs()), days, winter_config)
         chp_sum = d.power[:, :, 0] + d.power[:, :, 1]
         expected = days.electric_load - chp_sum - d.st_power - days.hydro - days.solar
         assert np.array_equal(d.exchange, expected)
 
     def test_export_case(self, winter_config):
         scenario = constant_scenario(load=5000.0, hydro_kw=250.0, solar_kw=250.0)
-        d = constant_day([0.5] * 5, winter_config, [scenario])
+        d = constant_day([0.5] * 5, winter_config, scenario)
         supplied = d.power[0, 0].sum() + d.st_power[0, 0] + 500.0
         assert d.exchange[0, 0] < 0.0
         assert d.exchange[0, 0] == pytest.approx(5000.0 - supplied, abs=1e-9)
@@ -191,7 +185,7 @@ class TestLoadBalance:
     def test_full_import(self):
         cfg = all_switchable_config()
         scenario = constant_scenario(load=20000.0, hydro_kw=0.0, solar_kw=0.0)
-        d = constant_day([0.5] * 5 + [0.0] * 3, cfg, [scenario])
+        d = constant_day([0.5] * 5 + [0.0] * 3, cfg, scenario)
         assert np.all(d.power == 0.0) and not d.chp_on.any() and not d.boiler_on.any()
         # with no steam the turbine sits on its lower branch intercept
         assert d.exchange[0, 0] == 20000.0 - cfg.steam_turbine.b2_s
@@ -201,7 +195,7 @@ class TestHourRewards:
     def test_pure_import_costs_and_emissions(self):
         cfg = all_switchable_config()
         scenario = constant_scenario(load=20000.0, hydro_kw=0.0, solar_kw=0.0, rt_price=0.05)
-        d = constant_day([0.5] * 5 + [0.0] * 3, cfg, [scenario])
+        d = constant_day([0.5] * 5 + [0.0] * 3, cfg, scenario)
         purchase = 20000.0 - cfg.steam_turbine.b2_s
         assert d.cost[0, 0] == pytest.approx(purchase * 0.05, abs=1e-9)
         assert d.emission_lb[0, 0] == pytest.approx(purchase * 0.932, abs=1e-9)
@@ -215,22 +209,22 @@ class TestHourRewards:
             cfg = dataclasses.replace(
                 winter_config, boiler=dataclasses.replace(winter_config.boiler, q_max=q_max)
             )
-            d = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], cfg, [constant_scenario(heat_load=100.0)])
+            d = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], cfg, constant_scenario(heat_load=100.0))
             assert d.steam[0, 0].sum() + d.boiler_steam[0, 0] == q_max
             flags.append(bool(d.waste[0, 0]))
         assert flags == [False, True]
 
     def test_zero_heat_load_flags_any_steam(self, winter_config):
         scenario = constant_scenario(heat_load=0.0)
-        none = constant_day([0.5, 0.5, 0.0, 0.0, 0.0], winter_config, [scenario])
-        some = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], winter_config, [scenario])
+        none = constant_day([0.5, 0.5, 0.0, 0.0, 0.0], winter_config, scenario)
+        some = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], winter_config, scenario)
         assert not none.waste[0, 0] and none.heat_satisfaction[0, 0] == 1.0
         assert some.waste[0, 0] and some.heat_satisfaction[0, 0] == np.inf
         assert none.reliable.all() and some.reliable.all()
 
     def test_exports_earn_no_emission_credit(self, winter_config):
         scenario = constant_scenario(load=5000.0)
-        d = constant_day([0.5] * 5, winter_config, [scenario])
+        d = constant_day([0.5] * 5, winter_config, scenario)
         assert d.exchange[0, 0] < 0.0
         gas = total_gas(hour_action(d, 0, 0), winter_config)
         assert d.emission_lb[0, 0] == pytest.approx(
@@ -239,8 +233,8 @@ class TestHourRewards:
 
     def test_cost_monotone_in_rt_price(self, winter_config):
         for load in (40000.0, 5000.0):  # purchase, then sale
-            scenarios = [constant_scenario(load=load, rt_price=p) for p in (0.02, 0.05, 0.08)]
-            d = constant_day([0.5] * 5, winter_config, scenarios)
+            days = stack(*(constant_scenario(load=load, rt_price=p) for p in (0.02, 0.05, 0.08)))
+            d = constant_day([0.5] * 5, winter_config, days)
             costs = d.cost[:, 0]
             if d.exchange[0, 0] > 0:
                 assert costs[0] <= costs[1] <= costs[2]
@@ -270,7 +264,7 @@ class TestHeatReliability:
         assert violation[0] == 0.0
 
     def test_wrong_length_rejected(self, winter_config):
-        days = day_arrays([constant_scenario()], winter_config)
+        days = constant_scenario()
         with pytest.raises(ValueError):
             dispatch(np.full((1, 23, 5), 0.5), days, winter_config)
 
@@ -280,7 +274,7 @@ class TestSimulateDay:
         scenario = constant_scenario()
         policy = PolicyNetwork.decode(
             np.zeros(weight_count(6, 15, 5)), 6, 15, 5,
-            InputNormalization.from_scenarios([scenario]),
+            InputNormalization.from_scenarios(scenario),
         )
         day = simulate_day(policy, scenario, winter_config)
         d = day.trace
@@ -314,7 +308,7 @@ class TestSimulateDay:
         scenario = constant_scenario(heat_load=0.0)
         policy = PolicyNetwork.decode(
             np.zeros(weight_count(6, 15, 5)), 6, 15, 5,
-            InputNormalization.from_scenarios([scenario]),
+            InputNormalization.from_scenarios(scenario),
         )
         day = simulate_day(policy, scenario, cfg)
         assert day.objectives[2] == 0.0
@@ -323,15 +317,10 @@ class TestSimulateDay:
 
     def test_scenario_supplied_initial_action_anchors_hour_zero(self):
         cfg = tight_ramp_config()
-        scenario = constant_scenario()
-        start = Action(
-            chp_power=(12000.0, 16000.0), chp_steam=(0.0, 0.0), boiler_steam=0.0,
-            chp_on=(True, True), boiler_on=True,
-        )
-        scenario = dataclasses.replace(scenario, initial_action=start)
+        scenario = constant_scenario(init_power=[12000.0, 16000.0])
         policy = PolicyNetwork.decode(
             np.zeros(weight_count(6, 15, 5)), 6, 15, 5,
-            InputNormalization.from_scenarios([scenario]),
+            InputNormalization.from_scenarios(scenario),
         )
         day = simulate_day(policy, scenario, cfg)
         first = day.trace.power[0, 0]
@@ -342,9 +331,9 @@ class TestSimulateDay:
     def test_load_balance_identity_holds_per_hour(self, winter_config, winter_scenarios):
         rng = np.random.default_rng(17)
         policy = make_policy(rng, winter_config, winter_scenarios, scale=6.0)
-        for scenario in winter_scenarios[:3]:
-            day = simulate_day(policy, scenario, winter_config)
-            residual = balance_residual(day.trace, day_arrays([scenario], winter_config))
+        for s in range(3):
+            day = simulate_day(policy, winter_scenarios[s], winter_config)
+            residual = balance_residual(day.trace, winter_scenarios[s])
             assert np.all(np.abs(residual) < 1e-9)
 
     def test_emission_unit_conversion(self, winter_config, winter_scenarios):
@@ -356,10 +345,10 @@ class TestSimulateDay:
     def test_matches_independent_oracle(self, winter_config, summer_config,
                                         winter_scenarios, summer_scenarios):
         rng = np.random.default_rng(99)
-        cases = [(winter_config, s) for s in winter_scenarios[:2]]
-        cases += [(summer_config, s) for s in summer_scenarios[:2]]
+        cases = [(winter_config, winter_scenarios[s]) for s in range(2)]
+        cases += [(summer_config, summer_scenarios[s]) for s in range(2)]
         for config, scenario in cases:
-            policy = make_policy(rng, config, [scenario], scale=4.0)
+            policy = make_policy(rng, config, scenario, scale=4.0)
             day = simulate_day(policy, scenario, config)
             expected = oracle_simulate_day(
                 scenario_to_plain(scenario, config),
@@ -384,14 +373,14 @@ class TestEvaluatePolicy:
     def test_singleton_equals_simulate_day(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(1), winter_config, winter_scenarios)
         day = simulate_day(policy, winter_scenarios[0], winter_config)
-        objectives, violation = _evaluate(policy, [winter_scenarios[0]], winter_config)
+        objectives, violation = _evaluate(policy, winter_scenarios[0], winter_config)
         assert np.array_equal(objectives, day.objectives)
         assert violation == day.violation
 
     def test_duplicated_scenarios_leave_mean_unchanged(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(2), winter_config, winter_scenarios)
-        single, _ = _evaluate(policy, [winter_scenarios[0]], winter_config)
-        doubled, _ = _evaluate(policy, [winter_scenarios[0]] * 2, winter_config)
+        single, _ = _evaluate(policy, winter_scenarios[0], winter_config)
+        doubled, _ = _evaluate(policy, winter_scenarios[[0, 0]], winter_config)
         assert np.allclose(single, doubled, rtol=0, atol=0)
 
     def test_two_scenarios_average(self, winter_config, winter_scenarios):
@@ -405,9 +394,7 @@ class TestEvaluatePolicy:
     def test_empty_rejected(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(5), winter_config, winter_scenarios)
         with pytest.raises(ValueError):
-            _evaluate(policy, [], winter_config)
-        with pytest.raises(ValueError):
-            day_arrays([], winter_config)
+            _evaluate(policy, winter_scenarios[:0], winter_config)
 
     def test_keep_traces(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(6), winter_config, winter_scenarios)
@@ -443,7 +430,7 @@ class TestTraceExport:
 
     def test_zero_heat_load_satisfaction_is_written(self, tmp_path, winter_config):
         scenario = constant_scenario(heat_load=0.0)
-        d = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], winter_config, [scenario])
+        d = constant_day([0.5, 0.5, 0.0, 0.0, 1.0], winter_config, scenario)
         path = tmp_path / "trace.csv"
         export_trace(d, 0, path)
         header, first = (line.split(",") for line in path.read_text().splitlines()[:2])
@@ -604,8 +591,8 @@ class TestRampWindowMatchesReferenceLoop:
         capped_reentries = restarts = 0
         for _ in range(10):
             cfg = random_plant(rng, base)
-            days = day_arrays([scenarios[i] for i in rng.integers(0, len(scenarios), n)], cfg)
-            days = days._replace(init_power=random_start(rng, cfg, n))
+            days = scenarios[rng.integers(0, len(scenarios), n)]
+            days = dataclasses.replace(days, init_power=random_start(rng, cfg, n))
             u = random_decisions(rng, cfg, n)
             d, ref = dispatch(u, days, cfg), _reference_dispatch(u, days, cfg)
             for name in Dispatch._fields:
@@ -634,14 +621,15 @@ class TestRowIndependence:
         cfg = random_plant(rng, default_config(season))
 
         def draw(n):
-            days = day_arrays([scenarios[i] for i in rng.integers(0, len(scenarios), n)], cfg)
-            return days._replace(init_power=random_start(rng, cfg, n)), random_decisions(rng, cfg, n)
+            days = scenarios[rng.integers(0, len(scenarios), n)]
+            days = dataclasses.replace(days, init_power=random_start(rng, cfg, n))
+            return days, random_decisions(rng, cfg, n)
 
         (days_a, u_a), (days_b, u_b) = draw(7), draw(13)
-        days_ab = type(days_a)(*(np.concatenate(pair) for pair in zip(days_a, days_b)))
+        days_ab = stack(days_a, days_b)
         u_ab = np.concatenate([u_a, u_b])
         perm = rng.permutation(20)
-        days_p = type(days_a)(*(field[perm] for field in days_ab))
+        days_p = days_ab[perm]
 
         d_a, d_b = dispatch(u_a, days_a, cfg), dispatch(u_b, days_b, cfg)
         d_ab, d_p = dispatch(u_ab, days_ab, cfg), dispatch(u_ab[perm], days_p, cfg)

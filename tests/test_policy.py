@@ -182,9 +182,7 @@ class TestInputGradient:
 class TestNormalization:
     def test_from_scenarios_minmax(self, winter_scenarios):
         norm = InputNormalization.from_scenarios(winter_scenarios)
-        signals = np.array(
-            [rec.observable.as_vector()[:5] for sc in winter_scenarios for rec in sc.hours]
-        )
+        signals = winter_scenarios.signals.reshape(-1, 5)
         assert np.allclose(norm.offsets[:5], signals.min(axis=0))
         assert np.allclose(norm.scales[:5], signals.max(axis=0) - signals.min(axis=0))
         assert norm.offsets[5] == 0.0 and norm.scales[5] == 23.0
@@ -194,7 +192,7 @@ class TestNormalization:
     def test_constant_signal_degenerates_to_unit_scale(self, winter_scenarios):
         from conftest import constant_scenario
 
-        norm = InputNormalization.from_scenarios([constant_scenario()])
+        norm = InputNormalization.from_scenarios(constant_scenario())
         assert all(s == 1.0 for s in norm.scales[:5])
 
     def test_zero_scale_rejected(self):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from chpdispatch.environment import OBSERVABLE_SIGNALS, observations
+from chpdispatch.environment import OBSERVABLE_SIGNALS
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 from chpdispatch.tvsa import (
     TvsaReport,
@@ -22,23 +23,16 @@ from chpdispatch.tvsa import (
 from conftest import constant_scenario, make_policy
 
 
-def ensemble(signal_rows, **fixed):
+def ensemble(signal_rows):
     """One scenario per row; each row gives the five signal values used for
     every hour of that scenario's day."""
-    scenarios = []
-    for i, row in enumerate(signal_rows):
-        scenarios.append(
-            constant_scenario(
-                label=f"2019-01-{i + 1:02d}",
-                temperature=row[0],
-                wind=row[1],
-                solar_rad=row[2],
-                streamflow=row[3],
-                prior_price=row[4],
-                **fixed,
-            )
-        )
-    return scenarios
+    rows = np.asarray(signal_rows, dtype=float)
+    days = constant_scenario()[[0] * len(rows)]
+    return dataclasses.replace(
+        days,
+        labels=[f"2019-01-{i + 1:02d}" for i in range(len(rows))],
+        signals=np.repeat(rows[:, None, :], 24, axis=1),
+    )
 
 
 class LinearPolicy:
@@ -50,7 +44,7 @@ class LinearPolicy:
         self.output_dim = len(self._c)
 
     def forward(self, obs):
-        return self._c + self._g @ obs.as_vector()[:5]
+        return self._c + np.asarray(obs)[..., :5] @ self._g.T
 
     def input_gradient(self, obs):
         return np.hstack([self._g, np.zeros((self.output_dim, 1))])
@@ -127,7 +121,7 @@ class TestDecompose:
             scenarios = ensemble(rows.tolist())
             first, second = decompose(policy, scenarios, 11, 0)
             total = float(first.sum() + np.triu(second, 1).sum() * 2.0)
-            u = np.array([policy.forward(s.hours[11].observable)[0] for s in scenarios])
+            u = policy.forward(scenarios.policy_inputs()[:, 11])[:, 0]
             assert total == pytest.approx(float(np.var(u, ddof=1)), abs=1e-9, rel=1e-9)
 
     def test_second_order_is_symmetric_with_zero_diagonal(self, winter_config, winter_scenarios):
@@ -224,7 +218,7 @@ class TestForcedOff:
 
     def test_mask_covers_unit_decisions(self, summer_config, summer_scenarios):
         policy = self._off_policy(summer_config, summer_scenarios)
-        outputs = policy.forward(observations(summer_scenarios))
+        outputs = policy.forward(summer_scenarios.policy_inputs())
         mask = forced_off_mask(outputs, summer_config)
         # layout: chp1_p, chp2_p, chp1_q, chp2_q, boiler_q, chp2_on, boiler_on
         assert mask[1].all() and mask[3].all() and mask[4].all()
@@ -264,9 +258,7 @@ class TestBuildReport:
     def test_empirical_variance_recorded(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(11), winter_config, winter_scenarios)
         report = build_report(policy, winter_scenarios, config=winter_config)
-        u = np.array(
-            [policy.forward(s.hours[4].observable)[2] for s in winter_scenarios]
-        )
+        u = policy.forward(winter_scenarios.policy_inputs()[:, 4])[:, 2]
         assert report.cell(2, 4).empirical_variance == pytest.approx(
             float(np.var(u, ddof=1)), rel=1e-12
         )
