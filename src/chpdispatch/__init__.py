@@ -14,7 +14,6 @@ from .grid_model import (  # noqa: F401
     default_config,
 )
 from .environment import (  # noqa: F401
-    Action,
     Dispatch,
     Ensemble,
     dispatch,

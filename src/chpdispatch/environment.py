@@ -5,10 +5,12 @@ ensemble of scenario-days at once: normalized policy decisions in [0, 1]
 are mapped onto the feasible window of each unit (ramp limits anchored at
 the previous hour), the grid exchange closes the electric balance exactly,
 and every hour records its cost, emissions, heat-waste flag and heat
-reliability.  :class:`Ensemble` holds the scenario-days as arrays, and
-:func:`dispatch` is the one simulator; training reduces its
-per-hour arrays to daily objectives with :func:`day_objectives`, and
-``evaluate`` writes its traces from the same arrays.
+reliability.  Gas and steam-turbine power come from the fitted curves of
+:mod:`.grid_model`, each called once over every (unit, scenario, hour).
+:class:`Ensemble` holds the scenario-days as arrays, and :func:`dispatch`
+is the one simulator; training reduces its per-hour arrays to daily
+objectives with :func:`day_objectives`, and ``evaluate`` writes its traces
+from the same arrays.
 
 Decision-vector layout for ``nc`` CHP units (see :func:`decision_names`):
 
@@ -31,7 +33,14 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .grid_model import LB_PER_METRIC_TON, MicrogridConfig
+from .grid_model import (
+    LB_PER_METRIC_TON,
+    MicrogridConfig,
+    boiler_fuel,
+    chp_power_fuel,
+    chp_steam_fuel,
+    steam_turbine_power,
+)
 
 #: Exogenous signals a policy can observe, in decision-vector order.
 OBSERVABLE_SIGNALS = (
@@ -46,29 +55,6 @@ OBSERVABLE_SIGNALS = (
 RELIABLE_HOURS_REQUIRED = 22
 HEAT_SATISFACTION_FLOOR = 0.95
 HOURS_PER_DAY = 24
-
-
-@dataclass(frozen=True)
-class Action:
-    """One hour's dispatch state for the scalar component models; off
-    units hold their outputs at zero."""
-
-    chp_power: tuple[float, ...]
-    chp_steam: tuple[float, ...]
-    boiler_steam: float
-    chp_on: tuple[bool, ...]
-    boiler_on: bool
-
-    def __post_init__(self) -> None:
-        if len(self.chp_power) != len(self.chp_steam) or len(self.chp_power) != len(
-            self.chp_on
-        ):
-            raise ValueError("chp_power, chp_steam and chp_on must have equal length")
-        for i, on in enumerate(self.chp_on):
-            if not on and (self.chp_power[i] != 0.0 or self.chp_steam[i] != 0.0):
-                raise ValueError(f"off CHP {i + 1} must have zero power and steam")
-        if not self.boiler_on and self.boiler_steam != 0.0:
-            raise ValueError("off boiler must have zero steam")
 
 
 def decision_dim(config: MicrogridConfig) -> int:
@@ -219,10 +205,7 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     if not (u.min() >= 0.0 and u.max() <= 1.0):
         raise ValueError("decisions must lie in [0, 1]")
 
-    def per_unit(*names: str) -> np.ndarray:
-        """CHP parameters, one (nc, 1, 1) column per name, on the unit axis."""
-        table = [[getattr(c, name) for c in cfg.chp] for name in names]
-        return np.array(table).reshape(len(names), nc, 1, 1)
+    units = cfg.chp_stack  # (nc, 1, 1) per ChpParams field
 
     # Unit axis first: every decision column is a contiguous (S, 24) array,
     # and per-unit arrays are (nc, S, 24).
@@ -232,7 +215,7 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     chp_on = np.stack([on.get(f"chp{i + 1}", always) for i in range(nc)])
 
     # Steam maps onto static limits; off units produce nothing.
-    q_min, q_max = per_unit("q_min", "q_max")
+    q_min, q_max = units.q_min, units.q_max
     steam = q_min + cols[nc : 2 * nc] * (q_max - q_min)
     steam = np.where(chp_on, np.minimum(np.maximum(steam, q_min), q_max), 0.0)
     b = cfg.boiler
@@ -244,8 +227,10 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     # CHP power is sequential: each hour's window ramps off the last.  One
     # set of array operations per hour moves every unit.  State and limits
     # are full (nc, S) arrays, which numpy combines without broadcasting.
-    limits = per_unit("p_min", "p_max", "ramp_down", "ramp_up")[..., 0]
-    p_min, p_max, ramp_down, ramp_up = np.repeat(limits, S, axis=2)
+    p_min, p_max, ramp_down, ramp_up = (
+        np.repeat(limit[:, :, 0], S, axis=1)
+        for limit in (units.p_min, units.p_max, units.ramp_down, units.ramp_up)
+    )
     zero = np.zeros((nc, S))
     u_power = cols[:nc].transpose(2, 0, 1).copy()  # (24, nc, S)
     on_power = chp_on.transpose(2, 0, 1).copy()
@@ -266,28 +251,13 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
 
     # Unit-by-unit summation order q1 + q2 + ... + qb, as in the oracle.
     steam_total = sum(steam[1:], steam[0]) + qb
-
-    st = cfg.steam_turbine
-    st_power = np.where(
-        steam_total > st.c_s,
-        st.a1_s * steam_total + st.b1_s,
-        st.a2_s * steam_total + st.b2_s,
-    )
+    st_power = steam_turbine_power(steam_total, cfg.steam_turbine)
 
     chp_sum = sum(power[1:], power[0])
     p_e = days.electric_load - chp_sum - st_power - days.hydro - days.solar
 
-    a_c, b_c, c_c, a_q, b_q, hv = per_unit("a_c", "b_c", "c_c", "a_q", "b_q", "heating_value")
-    running = power > 0.0
-    ratio = power / per_unit("p_max")[0]
-    eff = a_c + b_c * ratio + c_c * ratio * ratio
-    if np.any(running & (eff <= 0.0)):
-        raise ValueError("fitted efficiency is non-positive at a dispatched point")
-    denom = hv * np.where(running, eff, 1.0)
-    fuel_p = np.where(running, power / denom, 0.0)
-    fuel_q = np.maximum(a_q * steam - b_q, 0.0)
-    boiler_gas = np.where(boiler_on, b.a_b * qb * qb + b.b_b * qb + b.c_b, 0.0)
-    gas = sum(fuel_p + fuel_q, 0.0) + boiler_gas
+    fuel = chp_power_fuel(power, units) + chp_steam_fuel(steam, units)
+    gas = sum(fuel, 0.0) + boiler_fuel(qb, b, committed=boiler_on)
 
     cost = gas * days.gas_price + p_e * days.rt_price
     emission = gas * cfg.emission.gas_emission_rate + (
@@ -372,24 +342,24 @@ def trace_columns(nc: int) -> list[str]:
 
 
 def export_trace(d: Dispatch, day: int, path: str | Path) -> None:
-    """Write one day's hourly dispatch to CSV (full float precision)."""
+    """Write one day's hourly dispatch to CSV (full float precision: csv
+    writes a float as ``repr``, flags as 0/1)."""
+    columns = [range(HOURS_PER_DAY)]
+    columns += d.power[day].T.tolist()
+    columns += d.steam[day].T.tolist()
+    columns.append(d.boiler_steam[day].tolist())
+    columns += d.chp_on[day].T.astype(int).tolist()
+    columns += [
+        d.boiler_on[day].astype(int).tolist(),
+        d.st_power[day].tolist(),
+        d.exchange[day].tolist(),
+        d.cost[day].tolist(),
+        d.emission_lb[day].tolist(),
+        d.waste[day].astype(int).tolist(),
+        d.heat_satisfaction[day].tolist(),
+        d.reliable[day].astype(int).tolist(),
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(trace_columns(d.power.shape[2]))
-        for t in range(HOURS_PER_DAY):
-            row: list = [t]
-            row += [repr(float(p)) for p in d.power[day, t]]
-            row += [repr(float(q)) for q in d.steam[day, t]]
-            row.append(repr(float(d.boiler_steam[day, t])))
-            row += [int(on) for on in d.chp_on[day, t]]
-            row += [
-                int(d.boiler_on[day, t]),
-                repr(float(d.st_power[day, t])),
-                repr(float(d.exchange[day, t])),
-                repr(float(d.cost[day, t])),
-                repr(float(d.emission_lb[day, t])),
-                int(d.waste[day, t]),
-                repr(float(d.heat_satisfaction[day, t])),
-                int(d.reliable[day, t]),
-            ]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

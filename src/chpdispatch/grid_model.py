@@ -1,7 +1,8 @@
 """Fitted component models for a combined-heat-and-power microgrid.
 
-Every function in this module is a pure map from an operating point to a
-physical quantity, using regression coefficients fitted from plant history.
+Each fitted curve in this module is a pure map from operating points
+(scalars or arrays) to a physical quantity, using regression coefficients
+fitted from plant history; the dispatch kernel calls these same functions.
 Internal units are fixed across the whole package:
 
     power            kW
@@ -28,14 +29,23 @@ regression produced, not physical truths:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .environment import Action
+import numpy as np
 
 LB_PER_METRIC_TON = 2204.62
+
+
+def _require_finite(params) -> None:
+    """Reject a NaN or infinite coefficient of a params dataclass, naming it."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,31 +84,34 @@ class ChpParams:
     heating_value: float
 
     def __post_init__(self) -> None:
-        if not self.p_min < self.p_max:
-            raise ValueError(f"p_min must be < p_max, got [{self.p_min}, {self.p_max}]")
+        if not 0.0 <= self.p_min < self.p_max:
+            raise ValueError(f"need 0 <= p_min < p_max, got [{self.p_min}, {self.p_max}]")
         if not (self.ramp_down < 0.0 < self.ramp_up):
             raise ValueError(
-                f"ramp limits must straddle zero, got [{self.ramp_down}, {self.ramp_up}]"
+                "ramp limits must straddle zero (ramp_down < 0 < ramp_up), "
+                f"got [{self.ramp_down}, {self.ramp_up}]"
             )
-        if not self.q_min <= self.q_max:
-            raise ValueError(f"q_min must be <= q_max, got [{self.q_min}, {self.q_max}]")
+        if not 0.0 <= self.q_min <= self.q_max:
+            raise ValueError(f"need 0 <= q_min <= q_max, got [{self.q_min}, {self.q_max}]")
         if self.heating_value <= 0.0:
             raise ValueError(f"heating_value must be > 0, got {self.heating_value}")
-        # Exact minimum of the efficiency quadratic on [p_min, p_max]; the
-        # fuel model divides by it, so it must stay strictly positive there.
+        _require_finite(self)
+        # The fuel model divides by the efficiency, so it must stay strictly
+        # positive on [p_min, p_max].
         if self._min_efficiency_committed() <= 0.0:
             raise ValueError(
                 "efficiency polynomial must be strictly positive on [p_min, p_max]"
             )
 
     def _min_efficiency_committed(self) -> float:
-        lo, hi = self.p_min / self.p_max, 1.0
-        candidates = [self.a_c + self.b_c * r + self.c_c * r * r for r in (lo, hi)]
+        """Minimum of the efficiency quadratic on [p_min, p_max], taken at
+        an end of the range or at the vertex."""
+        points = [self.p_min, self.p_max]
         if self.c_c != 0.0:
-            vertex = -self.b_c / (2.0 * self.c_c)
-            if lo < vertex < hi:
-                candidates.append(self.a_c + self.b_c * vertex + self.c_c * vertex * vertex)
-        return min(candidates)
+            vertex = -self.b_c / (2.0 * self.c_c) * self.p_max
+            if self.p_min < vertex < self.p_max:
+                points.append(vertex)
+        return float(np.min(chp_efficiency(np.array(points), self)))
 
     @property
     def free_steam_limit(self) -> float:
@@ -121,18 +134,17 @@ class BoilerParams:
     q_max: float
 
     def __post_init__(self) -> None:
-        if not self.q_min <= self.q_max:
-            raise ValueError(f"q_min must be <= q_max, got [{self.q_min}, {self.q_max}]")
-        # Fuel must be nonnegative and nondecreasing on the operating range.
+        if not 0.0 <= self.q_min <= self.q_max:
+            raise ValueError(f"need 0 <= q_min <= q_max, got [{self.q_min}, {self.q_max}]")
+        _require_finite(self)
+        # Fuel must be nonnegative and nondecreasing on the operating range:
+        # the slope 2 a_b q + b_b of the quadratic is monotone in q.
         slope_lo = 2.0 * self.a_b * self.q_min + self.b_b
         slope_hi = 2.0 * self.a_b * self.q_max + self.b_b
         if min(slope_lo, slope_hi) < 0.0:
             raise ValueError("boiler fuel curve must be nondecreasing on [q_min, q_max]")
-        if self._fuel(self.q_min) < 0.0:
+        if boiler_fuel(self.q_min, self) < 0.0:
             raise ValueError("boiler fuel curve must be nonnegative on [q_min, q_max]")
-
-    def _fuel(self, q: float) -> float:
-        return self.a_b * q * q + self.b_b * q + self.c_b
 
 
 @dataclass(frozen=True)
@@ -148,6 +160,7 @@ class SteamTurbineParams:
     def __post_init__(self) -> None:
         if self.c_s <= 0.0:
             raise ValueError(f"breakpoint c_s must be > 0, got {self.c_s}")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -160,11 +173,15 @@ class EmissionParams:
 
     def __post_init__(self) -> None:
         if self.gas_emission_rate <= 0.0 or self.grid_emission_factor <= 0.0:
-            raise ValueError("emission rates must be strictly positive")
+            raise ValueError(
+                "gas_emission_rate and grid_emission_factor must be > 0, "
+                f"got {self.gas_emission_rate} and {self.grid_emission_factor}"
+            )
         if self.heat_waste_threshold <= 1.0:
             raise ValueError(
                 f"heat_waste_threshold must exceed 1, got {self.heat_waste_threshold}"
             )
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -195,107 +212,105 @@ class MicrogridConfig:
         if unknown:
             raise ValueError(f"unknown switchable units: {sorted(unknown)}")
 
+    def __getstate__(self) -> dict:
+        # Pickle the fields only; the cached views below are rebuilt on use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def unit_ids(self) -> tuple[str, ...]:
         return tuple(f"chp{i + 1}" for i in range(len(self.chp))) + ("boiler",)
 
-    @property
+    @cached_property
     def commitment_units(self) -> tuple[str, ...]:
         """Switchable units in canonical order (CHPs by index, then boiler)."""
         return tuple(u for u in self.unit_ids if u in self.switchable_units)
 
+    @cached_property
+    def chp_stack(self) -> SimpleNamespace:
+        """Every :class:`ChpParams` field as an (nc, 1, 1) array, units on
+        the first axis: the curves below read it as they read one unit's
+        params, and evaluate all units at once on (nc, S, 24) arrays."""
+        return SimpleNamespace(
+            **{
+                f.name: np.array([getattr(c, f.name) for c in self.chp]).reshape(-1, 1, 1)
+                for f in fields(ChpParams)
+            }
+        )
 
-def chp_efficiency(p: float, params: ChpParams) -> float:
+
+def _check(ok, message: str, **values) -> None:
+    """Raise ``ValueError(message)`` unless every element of ``ok`` holds,
+    formatting ``message`` with ``values`` at the first element that fails
+    (values broadcast against ``ok``)."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        first = np.flatnonzero(np.logical_not(ok))[0]
+        shape = np.shape(ok)
+        at = {name: np.broadcast_to(v, shape).flat[first] for name, v in values.items()}
+        raise ValueError(message.format(**at))
+
+
+# The fitted curves.  Each takes scalars or arrays of operating points and
+# reads its coefficients by attribute, from one unit's params or from
+# MicrogridConfig.chp_stack; dispatch calls them on whole ensembles.
+
+
+def chp_efficiency(p, params: ChpParams):
     """Electrical efficiency at power output ``p`` (kW), as a fraction.
 
     Evaluates the fitted quadratic on the load ratio p / p_max for any
     p in [0, p_max]; below p_min the polynomial is extrapolated as written.
     """
-    if p < 0.0 or p > params.p_max:
-        raise ValueError(f"power {p} kW outside [0, {params.p_max}]")
+    _check((p >= 0.0) & (p <= params.p_max), "power {p} kW outside [0, {p_max}]",
+           p=p, p_max=params.p_max)  # fmt: skip
     r = p / params.p_max
     return params.a_c + params.b_c * r + params.c_c * r * r
 
 
-def chp_power_fuel(p: float, params: ChpParams) -> float:
+def chp_power_fuel(p, params: ChpParams):
     """Gas burned for electric output ``p`` (kW), dth/h.  p = 0 means off."""
-    if p == 0.0:
-        return 0.0
-    if p < params.p_min or p > params.p_max:
-        raise ValueError(f"power {p} kW outside [{params.p_min}, {params.p_max}]")
-    eff = chp_efficiency(p, params)
-    if eff <= 0.0:
-        raise ValueError(f"fitted efficiency is non-positive ({eff}) at {p} kW")
-    return p / (params.heating_value * eff)
+    eff = chp_efficiency(p, params)  # checks 0 <= p <= p_max
+    off = p == 0.0
+    _check(off | (p >= params.p_min), "power {p} kW outside [{p_min}, {p_max}]",
+           p=p, p_min=params.p_min, p_max=params.p_max)  # fmt: skip
+    _check(off | (eff > 0.0), "fitted efficiency is non-positive ({eff}) at {p} kW",
+           eff=eff, p=p)  # fmt: skip
+    return np.where(off, 0.0, p / (params.heating_value * np.where(off, 1.0, eff)))
 
 
-def chp_steam_fuel(q: float, params: ChpParams) -> float:
-    """Extra gas for steam output ``q`` (klb/h), dth/h; free below b_q/a_q."""
-    if q < params.q_min or q > params.q_max:
-        raise ValueError(f"steam {q} klb/h outside [{params.q_min}, {params.q_max}]")
-    return max(params.a_q * q - params.b_q, 0.0)
+def chp_steam_fuel(q, params: ChpParams):
+    """Extra gas for steam output ``q`` (klb/h), dth/h; free below b_q/a_q.
+    q = 0 is also an off unit's steam."""
+    _check((q == 0.0) | ((q >= params.q_min) & (q <= params.q_max)),
+           "steam {q} klb/h outside [{q_min}, {q_max}]",
+           q=q, q_min=params.q_min, q_max=params.q_max)  # fmt: skip
+    return np.maximum(params.a_q * q - params.b_q, 0.0)
 
 
-def boiler_fuel(q: float, params: BoilerParams, committed: bool = True) -> float:
+def boiler_fuel(q, params: BoilerParams, committed=True):
     """Boiler gas consumption at steam output ``q`` (klb/h), dth/h.
 
     A committed boiler burns its idle fuel even at q = 0; an uncommitted
     boiler burns nothing and must have q = 0.
     """
-    if not committed:
-        if q != 0.0:
-            raise ValueError(f"uncommitted boiler cannot produce steam (q={q})")
-        return 0.0
-    if q < params.q_min or q > params.q_max:
-        raise ValueError(f"steam {q} klb/h outside [{params.q_min}, {params.q_max}]")
-    return params.a_b * q * q + params.b_b * q + params.c_b
+    _check(committed | (q == 0.0), "uncommitted boiler cannot produce steam (q={q})", q=q)
+    _check(np.logical_not(committed) | ((q >= params.q_min) & (q <= params.q_max)),
+           "steam {q} klb/h outside [{q_min}, {q_max}]",
+           q=q, q_min=params.q_min, q_max=params.q_max)  # fmt: skip
+    return np.where(committed, params.a_b * q * q + params.b_b * q + params.c_b, 0.0)
 
 
-def steam_turbine_power(q_total: float, params: SteamTurbineParams) -> float:
+def steam_turbine_power(q_total, params: SteamTurbineParams):
     """Electric output (kW) recovered from total steam flow ``q_total`` (klb/h).
 
     The breakpoint itself takes the lower branch (strict > on the upper
     branch), reproducing the fitted curve including its discontinuity.
     """
-    if q_total < 0.0:
-        raise ValueError(f"steam flow must be nonnegative, got {q_total}")
-    if q_total > params.c_s:
-        return params.a1_s * q_total + params.b1_s
-    return params.a2_s * q_total + params.b2_s
-
-
-def grid_exchange_cost(p_e: float, price: float) -> float:
-    """Cost of exchanging ``p_e`` kW for one hour at ``price`` $/kWh.
-
-    Positive p_e is a purchase (cost), negative a sale (revenue); the
-    exchange is unlimited in either direction.
-    """
-    return price * p_e
-
-
-def total_gas(action: "Action", config: MicrogridConfig) -> float:
-    """System-wide gas consumption for one dispatch hour, dth/h."""
-    gas = 0.0
-    for i, params in enumerate(config.chp):
-        gas += chp_power_fuel(action.chp_power[i], params) + chp_steam_fuel(
-            action.chp_steam[i], params
-        )
-    gas += boiler_fuel(action.boiler_steam, config.boiler, committed=action.boiler_on)
-    return gas
-
-
-def equivalent_emission_factor(
-    gas: float, load: float, heat_load: float, gas_emission_rate: float
-) -> float:
-    """Reporting metric: local emissions per unit of combined load served.
-
-    Not part of the emission objective; the objective uses gas times the
-    gas emission rate directly.
-    """
-    denom = load + heat_load
-    if denom <= 0.0:
-        raise ValueError("load + heat_load must be positive")
-    return gas * gas_emission_rate / denom
+    _check(q_total >= 0.0, "steam flow must be nonnegative, got {q}", q=q_total)
+    return np.where(
+        q_total > params.c_s,
+        params.a1_s * q_total + params.b1_s,
+        params.a2_s * q_total + params.b2_s,
+    )
 
 
 def default_config(season: str = "winter") -> MicrogridConfig:

@@ -12,7 +12,7 @@ import pytest
 
 from chpdispatch.cli import main
 from chpdispatch.data import SyntheticSpec, generate_synthetic, write_scenarios
-from chpdispatch.grid_model import default_config, save_config
+from chpdispatch.grid_model import config_to_dict, default_config, save_config
 from chpdispatch.policy import InputNormalization, PolicyNetwork, save_policy, weight_count
 
 
@@ -72,6 +72,24 @@ class TestTrain:
         )
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_non_finite_config_coefficient_exits_2_naming_it(self, tmp_path, scenario_csv, capsys):
+        doc = config_to_dict(default_config("winter"))
+        doc["chp"][0]["heating_value"] = float("nan")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(
+            [
+                "train",
+                "--scenarios", str(scenario_csv),
+                "--config", str(config),
+                "--nfe", "10",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 2
+        assert "heating_value must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_reads_inputs_once(self, tmp_path, scenario_csv, monkeypatch):
         import chpdispatch.cli as cli

@@ -4,13 +4,14 @@ reliability, and the day simulator against the independent oracle."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from chpdispatch.batch import BatchEvaluator
+from chpdispatch.data import SyntheticSpec, generate_synthetic
 from chpdispatch.environment import (
-    Action,
     Dispatch,
     day_objectives,
     decision_dim,
@@ -19,7 +20,7 @@ from chpdispatch.environment import (
     export_trace,
     simulate_day,
 )
-from chpdispatch.grid_model import BoilerParams, LB_PER_METRIC_TON, default_config, total_gas
+from chpdispatch.grid_model import BoilerParams, LB_PER_METRIC_TON, default_config
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 
 from conftest import (
@@ -58,17 +59,6 @@ def constant_day(u, cfg, days=None, start=None):
         days = dataclasses.replace(days, init_power=np.tile(start, (len(days), 1)))
     u = np.broadcast_to(np.asarray(u, dtype=float), (len(days), 24, decision_dim(cfg)))
     return dispatch(u, days, cfg)
-
-
-def hour_action(d: Dispatch, s: int, t: int) -> Action:
-    """One dispatched hour as an :class:`Action`, for the scalar models."""
-    return Action(
-        chp_power=tuple(float(p) for p in d.power[s, t]),
-        chp_steam=tuple(float(q) for q in d.steam[s, t]),
-        boiler_steam=float(d.boiler_steam[s, t]),
-        chp_on=tuple(bool(on) for on in d.chp_on[s, t]),
-        boiler_on=bool(d.boiler_on[s, t]),
-    )
 
 
 def balance_residual(d: Dispatch, days) -> np.ndarray:
@@ -120,6 +110,24 @@ class TestClampAction:
         assert not off.boiler_on[0, 0] and off.boiler_steam[0, 0] == 0.0
         on = constant_day([0.5] * 5 + [0.5, 0.5], summer_config)
         assert on.chp_on[0, 0, 1] and on.boiler_on[0, 0]
+
+    def test_off_units_below_a_positive_steam_floor(self):
+        # An off unit raises no steam even when its floor q_min is above 0.
+        base = default_config("summer")
+        cfg = dataclasses.replace(
+            base,
+            chp=(base.chp[0], dataclasses.replace(base.chp[1], q_min=10.0)),
+            boiler=dataclasses.replace(base.boiler, q_min=5.0),
+        )
+        days = constant_scenario(init_power=[14000.0, 14000.0])
+        u = np.full((1, 24, 7), 0.5)
+        u[0, ::2, 5:] = 0.0  # chp2 and the boiler off in even hours
+        d = dispatch(u, days, cfg)
+        assert d.steam[0, 0, 1] == 0.0 and d.boiler_steam[0, 0] == 0.0
+        assert d.steam[0, 1, 1] == 10.0 + 0.5 * 143.0 and d.boiler_steam[0, 1] == 272.5
+        ref = _reference_dispatch(u, days, cfg)
+        for name in Dispatch._fields:
+            assert_same_bits(getattr(d, name), getattr(ref, name))
 
     def test_restart_window_anchored_at_minimum(self):
         cfg = tight_ramp_config("summer")
@@ -226,10 +234,17 @@ class TestHourRewards:
         scenario = constant_scenario(load=5000.0)
         d = constant_day([0.5] * 5, winter_config, scenario)
         assert d.exchange[0, 0] < 0.0
-        gas = total_gas(hour_action(d, 0, 0), winter_config)
-        assert d.emission_lb[0, 0] == pytest.approx(
-            gas * winter_config.emission.gas_emission_rate, rel=1e-12
-        )
+        # Gas by hand from the fitted coefficients, at the dispatched hour:
+        # both CHPs at 14000 kW and 76.5 klb/h, the boiler at 270 klb/h.
+        assert list(d.power[0, 0]) == [14000.0, 14000.0]
+        assert list(d.steam[0, 0]) == [76.5, 76.5] and d.boiler_steam[0, 0] == 270.0
+        r = 14000.0 / 16000.0
+        gas = 14000.0 / (293.0 * (0.088094 + 0.42435 * r + 0.19291 * r * r))
+        gas += 1.1766 * 76.5 - 65.881
+        gas += 14000.0 / (293.0 * (-0.027957 + 0.80107 * r + 0.34667 * r * r))
+        gas += 1.3293 * 76.5 - 77.25
+        gas += 0.0009 * 270.0 * 270.0 + 1.0968 * 270.0 + 3.7742
+        assert d.emission_lb[0, 0] == pytest.approx(gas * 116.65, rel=1e-12)
 
     def test_cost_monotone_in_rt_price(self, winter_config):
         for load in (40000.0, 5000.0):  # purchase, then sale
@@ -645,3 +660,30 @@ class TestRowIndependence:
         assert_same_bits(vio_ab, np.concatenate([vio_a, vio_b]))
         assert_same_bits(obj_p, obj_ab[:, perm])
         assert_same_bits(vio_p, vio_ab[perm])
+
+
+#: sha256 over every :class:`Dispatch` field (name, dtype, shape and bytes)
+#: of the :class:`TestPinnedBytes` cases.  The kernel is elementwise, with
+#: no matrix product, so the digest does not depend on the BLAS build.
+DISPATCH_SHA256 = "d8c4d1d9bd92d551c09c9ff398e9a02a57889e73ba314f081d1c5f12d78a0042"
+
+
+class TestPinnedBytes:
+    """The kernel's output bits are pinned: a change that moves any bit of
+    any field for these seeded decisions fails here."""
+
+    def test_every_dispatch_field_is_pinned(self):
+        digest = hashlib.sha256()
+        for season in ("winter", "summer"):
+            days = generate_synthetic(SyntheticSpec(seed=7, days=7, season=season))
+            rng = np.random.default_rng(8 if season == "winter" else 9)
+            base = default_config(season)
+            for cfg in (base, random_plant(rng, base)):
+                for start in (None, random_start(rng, cfg, len(days))):
+                    u = random_decisions(rng, cfg, len(days))
+                    d = dispatch(u, dataclasses.replace(days, init_power=start), cfg)
+                    for name in Dispatch._fields:
+                        field = np.ascontiguousarray(getattr(d, name))
+                        digest.update(f"{name} {field.dtype.str} {field.shape}".encode())
+                        digest.update(field.tobytes())
+        assert digest.hexdigest() == DISPATCH_SHA256

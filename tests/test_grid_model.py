@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chpdispatch.environment import Action
+from chpdispatch.environment import dispatch
 from chpdispatch.grid_model import (
     BoilerParams,
     ChpParams,
@@ -21,13 +25,12 @@ from chpdispatch.grid_model import (
     config_from_dict,
     config_to_dict,
     default_config,
-    equivalent_emission_factor,
-    grid_exchange_cost,
     load_config,
     save_config,
     steam_turbine_power,
-    total_gas,
 )
+
+from conftest import constant_scenario
 
 CFG = default_config("winter")
 CHP1 = CFG.chp[0]
@@ -162,75 +165,137 @@ class TestSteamTurbinePower:
 
 
 class TestGridExchange:
+    """The exchange term of :func:`dispatch`'s cost: the signed grid
+    exchange at the real-time price, unlimited either way.  Every unit is
+    off, so the hour burns no gas and its cost is the exchange alone."""
+
+    PLANT = dataclasses.replace(
+        default_config("summer"), switchable_units=frozenset({"chp1", "chp2", "boiler"})
+    )
+
+    def dispatch_off(self, load, hydro, price):
+        days = constant_scenario()[[0] * len(load)]
+        hourly = {
+            name: np.repeat(np.asarray(v, dtype=float)[:, None], 24, axis=1)
+            for name, v in (("electric_load", load), ("hydro", hydro), ("rt_price", price))
+        }
+        days = dataclasses.replace(days, solar=np.zeros((len(load), 24)), **hourly)
+        return dispatch(np.zeros((len(load), 24, 8)), days, self.PLANT)
+
     @pytest.mark.parametrize(
         "p_e,price,expected",
         [(1000.0, 0.05, 50.0), (-1000.0, 0.05, -50.0), (500.0, -0.02, -10.0)],
     )
     def test_examples(self, p_e, price, expected):
-        assert grid_exchange_cost(p_e, price) == pytest.approx(expected, abs=1e-12)
+        # with no steam the turbine sits on its lower branch intercept b2_s
+        load = p_e + self.PLANT.steam_turbine.b2_s
+        d = self.dispatch_off([load], [0.0], [price])
+        assert d.exchange[0, 0] == pytest.approx(p_e, abs=1e-9)
+        assert d.cost[0, 0] == d.exchange[0, 0] * price
+        assert d.cost[0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_linear_in_price(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            p_e = float(rng.uniform(-3e4, 3e4))
-            price = float(rng.uniform(-0.1, 0.2))
-            assert grid_exchange_cost(p_e, 2.0 * price) == 2.0 * grid_exchange_cost(p_e, price)
+        load = rng.uniform(1.0, 3e4, 100)
+        hydro = rng.uniform(0.0, 3e4, 100)
+        price = rng.uniform(-0.1, 0.2, 100)
+        once = self.dispatch_off(load, hydro, price)
+        twice = self.dispatch_off(load, hydro, 2.0 * price)
+        assert (once.exchange < 0.0).any() and (once.exchange > 0.0).any()
+        assert np.array_equal(twice.cost, 2.0 * once.cost)
 
 
-def _action(p1=0.0, q1=0.0, p2=0.0, q2=0.0, qb=0.0, boiler_on=False):
-    return Action(
-        chp_power=(p1, p2),
-        chp_steam=(q1, q2),
-        boiler_steam=qb,
-        chp_on=(p1 > 0.0 or q1 > 0.0, p2 > 0.0 or q2 > 0.0),
-        boiler_on=boiler_on,
-    )
+def plant_gas(p, q, qb, boiler_on=True):
+    """Gas of one operating point of the winter plant, summed as dispatch
+    sums it: unit by unit, power fuel plus steam fuel, then the boiler."""
+    gas = 0.0
+    for i, chp in enumerate(CFG.chp):
+        gas = gas + (chp_power_fuel(p[i], chp) + chp_steam_fuel(q[i], chp))
+    return gas + boiler_fuel(qb, BOILER, committed=boiler_on)
 
 
 class TestTotalGas:
+    """The plant's gas is the sum of the curve calls."""
+
     def test_everything_off(self):
-        assert total_gas(_action(), CFG) == 0.0
+        assert plant_gas((0.0, 0.0), (0.0, 0.0), 0.0, boiler_on=False) == 0.0
 
     def test_single_chp_at_full_power(self):
-        action = _action(p1=16000.0)
-        assert total_gas(action, CFG) == chp_power_fuel(16000.0, CHP1)
+        gas = plant_gas((16000.0, 0.0), (0.0, 0.0), 0.0, boiler_on=False)
+        assert gas == chp_power_fuel(16000.0, CHP1)
 
     def test_combined_dispatch(self):
-        action = _action(p1=16000.0, q1=100.0, qb=100.0, boiler_on=True)
-        assert total_gas(action, CFG) == pytest.approx(251.651784898396, abs=1e-9)
+        # 77.41858489839599 + 51.779 + 0 + 0 + 122.4542, by hand
+        gas = plant_gas((16000.0, 0.0), (100.0, 0.0), 100.0)
+        assert gas == pytest.approx(251.651784898396, abs=1e-9)
 
     def test_decomposes_into_component_calls_exactly(self):
+        # One call per curve over (unit, point) arrays through the stacked
+        # unit view, as in dispatch, against one scalar call per unit.
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = tuple(float(rng.uniform(c.p_min, c.p_max)) for c in CFG.chp)
-            q = tuple(float(rng.uniform(c.q_min, c.q_max)) for c in CFG.chp)
-            qb = float(rng.uniform(BOILER.q_min, BOILER.q_max))
-            action = Action(
-                chp_power=p, chp_steam=q, boiler_steam=qb,
-                chp_on=(True, True), boiler_on=True,
-            )
-            expected = 0.0
-            for i, chp in enumerate(CFG.chp):
-                expected += chp_power_fuel(p[i], chp) + chp_steam_fuel(q[i], chp)
-            expected += boiler_fuel(qb, BOILER)
-            assert total_gas(action, CFG) == expected
+        units = CFG.chp_stack
+        p = rng.uniform(units.p_min, units.p_max, (2, 1, 200))
+        p[:, :, :20] = 0.0  # units off
+        q = rng.uniform(units.q_min, units.q_max, (2, 1, 200))
+        qb = rng.uniform(BOILER.q_min, BOILER.q_max, (1, 200))
+        fuel = chp_power_fuel(p, units) + chp_steam_fuel(q, units)
+        gas = sum(fuel, 0.0) + boiler_fuel(qb, BOILER)
+        for n in range(200):
+            expected = plant_gas(p[:, 0, n].tolist(), q[:, 0, n].tolist(), float(qb[0, n]))
+            assert gas[0, n] == expected
 
 
-class TestEquivalentEmissionFactor:
-    def test_no_gas_no_emission(self):
-        assert equivalent_emission_factor(0.0, 20000.0, 100.0, 116.65) == 0.0
+#: (curve, extra arguments, valid points, one invalid point, its message)
+CURVES = [
+    (chp_efficiency, (CHP2,), [0.0, 1.0, 12000.0, 16000.0], 16000.5, "power 16000.5 kW"),
+    (chp_power_fuel, (CHP1,), [0.0, 12000.0, 14321.5, 16000.0], 11999.0, "power 11999.0 kW"),
+    (chp_steam_fuel, (CHP1,), [0.0, 55.99, CHP1.free_steam_limit, 153.0], 153.1, "steam 153.1"),
+    (boiler_fuel, (BOILER,), [0.0, 1.5, 270.0, 540.0], 540.5, "steam 540.5"),
+    (steam_turbine_power, (TURBINE,), [0.0, 214.9, 215.0, 300.0], -1e-9, "got -1e-09"),
+]
 
-    def test_examples(self):
-        assert equivalent_emission_factor(100.0, 20000.0, 100.0, 116.65) == pytest.approx(
-            0.5803482587064677, abs=1e-9
-        )
-        assert equivalent_emission_factor(251.656, 25000.0, 200.0, 116.65) == pytest.approx(
-            1.164907634920635, abs=1e-9
-        )
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            equivalent_emission_factor(10.0, 0.0, 0.0, 116.65)
+class TestArrayCurves:
+    """Each curve over an array equals its elementwise scalar calls bit for
+    bit, and one out-of-range element anywhere in the array raises."""
+
+    @pytest.mark.parametrize("curve, args, edges, bad, message", CURVES)
+    def test_array_equals_scalar_calls(self, curve, args, edges, bad, message):
+        rng = np.random.default_rng(3)
+        lo, hi = min(edges[1:]), max(edges)
+        points = np.concatenate([edges, rng.uniform(lo, hi, 60)]).reshape(8, 8)
+        values = curve(points, *args)
+        assert values.shape == points.shape
+        scalar = [float(curve(float(x), *args)) for x in points.flat]
+        assert values.tobytes() == np.array(scalar).reshape(8, 8).tobytes()
+
+        points[5, 2] = bad
+        with pytest.raises(ValueError, match=message):
+            curve(points, *args)
+        with pytest.raises(ValueError, match=message):
+            curve(bad, *args)
+
+    def test_boiler_commitment_per_element(self):
+        rng = np.random.default_rng(4)
+        committed = rng.random(50) < 0.5
+        q = np.where(committed, rng.uniform(0.0, 540.0, 50), 0.0)
+        values = boiler_fuel(q, BOILER, committed=committed)
+        scalar = [float(boiler_fuel(float(x), BOILER, bool(c))) for x, c in zip(q, committed)]
+        assert values.tobytes() == np.array(scalar).tobytes()
+        assert np.all(values[~committed] == 0.0)
+        q[np.flatnonzero(~committed)[0]] = 10.0
+        with pytest.raises(ValueError, match="uncommitted boiler"):
+            boiler_fuel(q, BOILER, committed=committed)
+
+    def test_non_positive_efficiency_rejected_at_a_running_point(self):
+        # The second unit's polynomial is negative at low load.  ChpParams
+        # rejects such a committed range, so read the coefficients from a
+        # plain object: the curves take any params by attribute.
+        loose = SimpleNamespace(**{**dataclasses.asdict(CHP2), "p_min": 100.0})
+        assert chp_efficiency(0.0, CHP2) < 0.0
+        assert chp_power_fuel(np.zeros(3), loose).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="efficiency is non-positive .* at 500.0 kW"):
+            chp_power_fuel(np.array([0.0, 14000.0, 500.0]), loose)
 
 
 class TestParamValidation:
@@ -286,6 +351,27 @@ class TestParamValidation:
             )
 
 
+#: Every numeric field of a config document, as (section, field).
+NUMERIC_FIELDS = [
+    (section, f.name)
+    for section, params in (
+        ("chp", ChpParams), ("boiler", BoilerParams),
+        ("steam_turbine", SteamTurbineParams), ("emission", EmissionParams),
+    )
+    for f in dataclasses.fields(params)
+]  # fmt: skip
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("section, name", NUMERIC_FIELDS)
+    def test_rejected_at_load_naming_the_field(self, section, name):
+        for value in (math.nan, math.inf, -math.inf):
+            doc = config_to_dict(default_config("summer"))
+            (doc[section][1] if section == "chp" else doc[section])[name] = value
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                config_from_dict(json.loads(json.dumps(doc)))
+
+
 class TestConfigSerialization:
     @pytest.mark.parametrize("season", ["winter", "summer"])
     def test_dict_round_trip(self, season):
@@ -301,6 +387,16 @@ class TestConfigSerialization:
         doc = json.loads(path.read_text())
         assert doc["chp"][0]["a_c"] == 0.088094
         assert doc["emission"]["gas_emission_rate"] == 116.65
+
+    def test_pickle_holds_the_fields_only(self):
+        cfg = default_config("summer")
+        fresh = pickle.dumps(cfg)
+        assert cfg.commitment_units == ("chp2", "boiler")
+        assert cfg.chp_stack.a_c.tolist() == [[[0.088094]], [[-0.027957]]]
+        assert cfg.chp_stack is cfg.chp_stack  # built once per config
+        assert pickle.dumps(cfg) == fresh
+        copy = pickle.loads(fresh)
+        assert copy == cfg and copy.chp_stack.p_max.shape == (2, 1, 1)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
