@@ -353,13 +353,21 @@ def config_to_dict(config: MicrogridConfig) -> dict:
     return d
 
 
+def _section(where: str, params: type, doc: dict):
+    """``params(**doc)``, with a rejected value's error prefixed by ``where``."""
+    try:
+        return params(**doc)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def config_from_dict(d: dict) -> MicrogridConfig:
     try:
         return MicrogridConfig(
-            chp=tuple(ChpParams(**c) for c in d["chp"]),
-            boiler=BoilerParams(**d["boiler"]),
-            steam_turbine=SteamTurbineParams(**d["steam_turbine"]),
-            emission=EmissionParams(**d["emission"]),
+            chp=tuple(_section(f"chp[{i}]", ChpParams, c) for i, c in enumerate(d["chp"])),
+            boiler=_section("boiler", BoilerParams, d["boiler"]),
+            steam_turbine=_section("steam_turbine", SteamTurbineParams, d["steam_turbine"]),
+            emission=_section("emission", EmissionParams, d["emission"]),
             season=d.get("season", "winter"),
             switchable_units=frozenset(d.get("switchable_units", ())),
         )

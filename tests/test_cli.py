@@ -88,7 +88,7 @@ class TestTrain:
             ]
         )
         assert code == 2
-        assert "heating_value must be finite, got nan" in capsys.readouterr().err
+        assert "chp[0]: heating_value must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
     def test_reads_inputs_once(self, tmp_path, scenario_csv, monkeypatch):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -368,7 +369,8 @@ class TestNonFiniteCoefficients:
         for value in (math.nan, math.inf, -math.inf):
             doc = config_to_dict(default_config("summer"))
             (doc[section][1] if section == "chp" else doc[section])[name] = value
-            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            where = re.escape("chp[1]" if section == "chp" else section)
+            with pytest.raises(ValueError, match=rf"^{where}: .*\b{name}\b"):
                 config_from_dict(json.loads(json.dumps(doc)))
 
 
