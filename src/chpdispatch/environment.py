@@ -5,12 +5,16 @@ ensemble of scenario-days at once: normalized policy decisions in [0, 1]
 are mapped onto the feasible window of each unit (ramp limits anchored at
 the previous hour), the grid exchange closes the electric balance exactly,
 and every hour records its cost, emissions, heat-waste flag and heat
-reliability.  Gas and steam-turbine power come from the fitted curves of
-:mod:`.grid_model`, each called once over every (unit, scenario, hour).
-:class:`Ensemble` holds the scenario-days as arrays, and :func:`dispatch`
-is the one simulator; training reduces its per-hour arrays to daily
-objectives with :func:`day_objectives`, and ``evaluate`` writes its traces
-from the same arrays.
+reliability.  When every CHP's ramps span its power range, as on the
+default plant, each window is the static ``[p_min, p_max]`` and power maps
+onto it in one array pass; otherwise an hourly loop carries the ramp
+anchor.  A day's start power must be 0 (off) or lie within
+``[p_min, p_max]``.  Gas and steam-turbine power come from the fitted
+curves of :mod:`.grid_model`, each called once over every (unit, scenario,
+hour).  :class:`Ensemble` holds the scenario-days as arrays, and
+:func:`dispatch` is the one simulator; training reduces its per-hour arrays
+to daily objectives with :func:`day_objectives`, and ``evaluate`` writes
+its traces from the same arrays.
 
 Decision-vector layout for ``nc`` CHP units (see :func:`decision_names`):
 
@@ -102,7 +106,8 @@ class Ensemble:
     in :data:`OBSERVABLE_SIGNALS` order; the policy's sixth input, the
     hour of day, is the hour index.  The hidden hourly arrays are (S, 24).
     ``init_power`` is the (S, nc) CHP power each day starts from (0 = unit
-    off); None starts every CHP on at the midpoint of its power range.
+    off, else within the unit's ``[p_min, p_max]``, which :func:`dispatch`
+    checks); None starts every CHP on at the midpoint of its power range.
     Every array is stored as a read-only C-contiguous float64 copy.
     """
 
@@ -185,11 +190,15 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     CHP power maps affinely onto the ramp-and-capacity window
     ``[max(p_min, anchor + ramp_down), min(p_max, anchor + ramp_up)]``,
     whose anchor is the previous hour's power, or p_min for a unit that was
-    off (ramping across an off period is waived).  Steam maps onto the
-    static steam limits.  Commitment outputs at or above 0.5 turn a
-    switchable unit on; an off unit's continuous outputs are zero.  Cost is
-    gas burned at the gas price plus the signed grid exchange at the
-    real-time price; emissions combine local combustion with purchased
+    off (ramping across an off period is waived).  A day's start power must
+    be 0 (off) or lie within ``[p_min, p_max]``.  When every unit's ramps
+    span its range (``config.chp_stack.ramps_span``) each window is exactly
+    ``[p_min, p_max]``, so power maps onto these static limits in one pass,
+    with the same bits; otherwise an hourly loop carries the anchor.  Steam
+    maps onto the static steam limits.  Commitment outputs at or above 0.5
+    turn a switchable unit on; an off unit's continuous outputs are zero.
+    Cost is gas burned at the gas price plus the signed grid exchange at
+    the real-time price; emissions combine local combustion with purchased
     power (exports earn no credit).  An hour wastes heat when steam exceeds
     the heat load by more than the threshold ratio, or, at zero heat load,
     when it raises any steam at all.
@@ -198,6 +207,8 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     nc = len(cfg.chp)
     S = len(days)
     k = decision_dim(cfg)
+    if S == 0:
+        raise ValueError("scenario ensemble must be nonempty")
     if u.shape != (S, HOURS_PER_DAY, k):
         raise ValueError(f"expected decisions of shape {(S, HOURS_PER_DAY, k)}, got {u.shape}")
     if days.init_power is not None and days.init_power.shape != (S, nc):
@@ -206,13 +217,18 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
         raise ValueError("decisions must lie in [0, 1]")
 
     units = cfg.chp_stack  # (nc, 1, 1) per ChpParams field
+    p_min, p_max = units.p_min, units.p_max
+    if days.init_power is not None:
+        _check_start(days, p_min[:, :, 0], p_max[:, :, 0])
 
     # Unit axis first: every decision column is a contiguous (S, 24) array,
-    # and per-unit arrays are (nc, S, 24).
-    cols = u.transpose(2, 0, 1).copy()
-    on = {unit: cols[2 * nc + 1 + j] >= 0.5 for j, unit in enumerate(cfg.commitment_units)}
-    always = np.ones((S, HOURS_PER_DAY), dtype=bool)
-    chp_on = np.stack([on.get(f"chp{i + 1}", always) for i in range(nc)])
+    # and per-unit arrays are (nc, S, 24).  An extra last column of ones is
+    # the flag that commitment index -1 (always committed) reads.
+    cols = np.empty((k + 1, S, HOURS_PER_DAY))
+    cols[:k] = u.transpose(2, 0, 1)
+    cols[k] = 1.0
+    on = cols[2 * nc + 1 :][cfg.commitment_index] >= 0.5
+    chp_on, boiler_on = on[:nc], on[nc]
 
     # Steam maps onto static limits; off units produce nothing.
     q_min, q_max = units.q_min, units.q_max
@@ -221,33 +237,39 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     b = cfg.boiler
     qb = b.q_min + cols[2 * nc] * (b.q_max - b.q_min)
     qb = np.minimum(np.maximum(qb, b.q_min), b.q_max)
-    boiler_on = on.get("boiler", always)
     qb = np.where(boiler_on, qb, 0.0)
 
-    # CHP power is sequential: each hour's window ramps off the last.  One
-    # set of array operations per hour moves every unit.  State and limits
-    # are full (nc, S) arrays, which numpy combines without broadcasting.
-    p_min, p_max, ramp_down, ramp_up = (
-        np.repeat(limit[:, :, 0], S, axis=1)
-        for limit in (units.p_min, units.p_max, units.ramp_down, units.ramp_up)
-    )
-    zero = np.zeros((nc, S))
-    u_power = cols[:nc].transpose(2, 0, 1).copy()  # (24, nc, S)
-    on_power = chp_on.transpose(2, 0, 1).copy()
-    power = np.zeros((HOURS_PER_DAY, nc, S))  # off units stay at zero
-    if days.init_power is None:  # every CHP starts on, mid-range
-        prev = 0.5 * (p_min + p_max)
+    if units.ramps_span:
+        # Every anchor lies in [p_min, p_max] and float rounding is
+        # monotone, so each window is exactly [p_min, p_max]: power maps
+        # like steam, the same expression on the same operands as the loop.
+        power = p_min + cols[:nc] * (p_max - p_min)
+        power = np.where(chp_on, np.minimum(np.maximum(power, p_min), p_max), 0.0)
     else:
-        prev = days.init_power.T.copy()
-    for t in range(HOURS_PER_DAY):
-        # ChpParams keeps ramp_down < 0, so an off unit's lower edge is p_min.
-        anchor = np.where(prev > zero, prev, p_min)
-        lo = np.maximum(p_min, anchor + ramp_down)
-        hi = np.minimum(p_max, anchor + ramp_up)
-        p = lo + u_power[t] * (hi - lo)
-        prev = power[t]
-        np.copyto(prev, np.minimum(np.maximum(p, lo), hi), where=on_power[t])
-    power = power.transpose(1, 2, 0).copy()  # (nc, S, 24)
+        # Each hour's window ramps off the last.  One set of array
+        # operations per hour moves every unit.  State and limits are full
+        # (nc, S) arrays, which numpy combines without broadcasting.
+        p_min, p_max, ramp_down, ramp_up = (
+            np.repeat(limit[:, :, 0], S, axis=1)
+            for limit in (units.p_min, units.p_max, units.ramp_down, units.ramp_up)
+        )
+        zero = np.zeros((nc, S))
+        u_power = cols[:nc].transpose(2, 0, 1).copy()  # (24, nc, S)
+        on_power = chp_on.transpose(2, 0, 1).copy()
+        power = np.zeros((HOURS_PER_DAY, nc, S))  # off units stay at zero
+        if days.init_power is None:  # every CHP starts on, mid-range
+            prev = 0.5 * (p_min + p_max)
+        else:
+            prev = days.init_power.T.copy()
+        for t in range(HOURS_PER_DAY):
+            # ChpParams keeps ramp_down < 0, so an off unit's lower edge is p_min.
+            anchor = np.where(prev > zero, prev, p_min)
+            lo = np.maximum(p_min, anchor + ramp_down)
+            hi = np.minimum(p_max, anchor + ramp_up)
+            p = lo + u_power[t] * (hi - lo)
+            prev = power[t]
+            np.copyto(prev, np.minimum(np.maximum(p, lo), hi), where=on_power[t])
+        power = power.transpose(1, 2, 0).copy()  # (nc, S, 24)
 
     # Unit-by-unit summation order q1 + q2 + ... + qb, as in the oracle.
     steam_total = sum(steam[1:], steam[0]) + qb
@@ -281,6 +303,19 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
         heat_satisfaction=satisfaction,
         reliable=satisfaction >= HEAT_SATISFACTION_FLOOR,
     )
+
+
+def _check_start(days: Ensemble, p_min: np.ndarray, p_max: np.ndarray) -> None:
+    """Reject a start power that is neither 0 (off) nor within its unit's
+    ``[p_min, p_max]`` (limits (nc, 1)), naming the unit and the day."""
+    start = days.init_power.T  # (nc, S)
+    ok = (start == 0.0) | ((start >= p_min) & (start <= p_max))
+    if not ok.all():
+        i, s = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"init_power of chp{i + 1} on day {days.labels[s]}: {start[i, s]} kW is "
+            f"neither 0 (off) nor within [{p_min[i, 0]}, {p_max[i, 0]}]"
+        )
 
 
 def day_objectives(d: Dispatch) -> tuple[np.ndarray, np.ndarray]:

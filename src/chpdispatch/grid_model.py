@@ -226,16 +226,34 @@ class MicrogridConfig:
         return tuple(u for u in self.unit_ids if u in self.switchable_units)
 
     @cached_property
+    def commitment_index(self) -> np.ndarray:
+        """For each unit in :attr:`unit_ids` order, the position of its
+        commitment flag in :attr:`commitment_units`, or -1 for a unit that
+        is always committed (the dispatch kernel reads index -1 as on)."""
+        flags = self.commitment_units
+        return np.array([flags.index(u) if u in flags else -1 for u in self.unit_ids])
+
+    @cached_property
     def chp_stack(self) -> SimpleNamespace:
         """Every :class:`ChpParams` field as an (nc, 1, 1) array, units on
         the first axis: the curves below read it as they read one unit's
-        params, and evaluate all units at once on (nc, S, 24) arrays."""
-        return SimpleNamespace(
+        params, and evaluate all units at once on (nc, S, 24) arrays.
+
+        ``ramps_span`` is True when every unit can ramp across its whole
+        range in one hour, in float arithmetic ``p_max + ramp_down <= p_min``
+        and ``p_min + ramp_up >= p_max``; then no ramp window is narrower
+        than ``[p_min, p_max]``."""
+        stack = SimpleNamespace(
             **{
                 f.name: np.array([getattr(c, f.name) for c in self.chp]).reshape(-1, 1, 1)
                 for f in fields(ChpParams)
             }
         )
+        stack.ramps_span = bool(
+            np.all(stack.p_max + stack.ramp_down <= stack.p_min)
+            and np.all(stack.p_min + stack.ramp_up >= stack.p_max)
+        )
+        return stack
 
 
 def _check(ok, message: str, **values) -> None:

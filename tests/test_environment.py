@@ -147,6 +147,33 @@ class TestClampAction:
         with pytest.raises(ValueError):
             dispatch(u, days, winter_config)
 
+    def test_zero_day_ensemble_rejected(self, winter_config, winter_scenarios):
+        with pytest.raises(ValueError, match="nonempty"):
+            dispatch(np.zeros((0, 24, 5)), winter_scenarios[:0], winter_config)
+
+    @pytest.mark.parametrize("plant", ["default", "tight"])
+    @pytest.mark.parametrize("bad", [5000.0, 20000.0])
+    def test_start_power_outside_range_names_unit_and_day(self, plant, bad, winter_scenarios):
+        cfg = default_config("winter") if plant == "default" else tight_ramp_config()
+        start = np.full((len(winter_scenarios), 2), 12000.0)
+        start[2, 1] = bad
+        days = dataclasses.replace(winter_scenarios, init_power=start)
+        u = np.full((len(days), 24, 5), 0.5)
+        message = f"init_power of chp2 on day {days.labels[2]}: {bad} kW"
+        with pytest.raises(ValueError, match=message):
+            dispatch(u, days, cfg)
+
+    @pytest.mark.parametrize("plant", ["default", "tight"])
+    def test_start_power_off_or_at_a_limit_accepted(self, plant):
+        cfg = default_config("summer") if plant == "default" else tight_ramp_config("summer")
+        edges = [0.0, 12000.0, 16000.0]
+        start = np.array([[a, b] for a in edges for b in edges])
+        days = dataclasses.replace(constant_scenario()[[0] * len(start)], init_power=start)
+        u = np.full((len(days), 24, 7), 0.5)
+        d, ref = dispatch(u, days, cfg), _reference_dispatch(u, days, cfg)
+        for name in Dispatch._fields:
+            assert_same_bits(getattr(d, name), getattr(ref, name))
+
     def test_feasibility_over_random_inputs(self, summer_config):
         rng = np.random.default_rng(42)
         for cfg in (tight_ramp_config(), tight_ramp_config("summer"), summer_config):
@@ -594,8 +621,9 @@ def random_decisions(rng, cfg, n):
 
 class TestRampWindowMatchesReferenceLoop:
     """:func:`dispatch` (one array pass per hour over every unit, windows
-    anchored at ``where(prev > 0, prev, p_min)``) equals the per-unit
-    two-branch loop bit for bit, in every field."""
+    anchored at ``where(prev > 0, prev, p_min)``, or one pass over all hours
+    when every unit's ramps span its range) equals the per-unit two-branch
+    loop bit for bit, in every field."""
 
     @pytest.mark.parametrize("plant", ["winter", "summer", "all-switchable"])
     def test_every_field_bitwise(self, plant, winter_scenarios, summer_scenarios):
@@ -622,6 +650,39 @@ class TestRampWindowMatchesReferenceLoop:
             restarts += int(np.sum(reentry[:, 1:]))
         assert capped_reentries > 0
         assert (restarts > 0) == (plant != "winter")
+
+    @pytest.mark.parametrize("plant", ["winter", "summer", "all-switchable", "mixed"])
+    def test_unedited_and_mixed_plants_bitwise(self, plant, winter_scenarios, summer_scenarios):
+        """The unedited plants take the one-pass power map; the mixed plant
+        (chp1 as shipped, chp2 with 1500 kW ramps) takes the hourly loop."""
+        if plant == "all-switchable":
+            cfg = all_switchable_config()
+        elif plant == "mixed":
+            base = default_config("summer")
+            tight = dataclasses.replace(base.chp[1], ramp_down=-1500.0, ramp_up=1500.0)
+            cfg = dataclasses.replace(base, chp=(base.chp[0], tight))
+        else:
+            cfg = default_config(plant)
+        assert cfg.chp_stack.ramps_span is (plant != "mixed")
+        scenarios = winter_scenarios if plant == "winter" else summer_scenarios
+        seeds = {"winter": 64, "summer": 65, "all-switchable": 66, "mixed": 67}
+        rng = np.random.default_rng(seeds[plant])
+        n = 60
+        binding = 0
+        for _ in range(10):
+            days = scenarios[rng.integers(0, len(scenarios), n)]
+            days = dataclasses.replace(days, init_power=random_start(rng, cfg, n))
+            u = random_decisions(rng, cfg, n)
+            d, ref = dispatch(u, days, cfg), _reference_dispatch(u, days, cfg)
+            for name in Dispatch._fields:
+                assert_same_bits(getattr(d, name), getattr(ref, name))
+
+            # on the mixed plant, chp2's ramp window binds inside [p_min, p_max]
+            prev = np.concatenate([days.init_power[:, None, :], d.power[:, :-1, :]], axis=1)
+            ramping = d.chp_on & (prev > 0.0)
+            step = np.abs(d.power - prev)
+            binding += int(np.sum(ramping[..., 1] & (step[..., 1] == 1500.0)))
+        assert (binding > 0) == (plant == "mixed")
 
 
 class TestRowIndependence:

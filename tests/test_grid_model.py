@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chpdispatch.environment import dispatch
+from chpdispatch.environment import decision_names, dispatch
 from chpdispatch.grid_model import (
     BoilerParams,
     ChpParams,
@@ -350,6 +350,59 @@ class TestParamValidation:
                 emission=CFG.emission, season="summer",
                 switchable_units=frozenset({"chp9"}),
             )
+
+
+def with_ramps(cfg, *ramps):
+    """``cfg`` with each CHP's (ramp_down, ramp_up) replaced, in unit order."""
+    chp = tuple(
+        dataclasses.replace(c, ramp_down=down, ramp_up=up) for c, (down, up) in zip(cfg.chp, ramps)
+    )
+    return dataclasses.replace(cfg, chp=chp)
+
+
+class TestRampsSpan:
+    """``chp_stack.ramps_span``: every CHP can cross its power range in one
+    hour, so no ramp window is narrower than ``[p_min, p_max]``."""
+
+    @pytest.mark.parametrize("season", ["winter", "summer"])
+    def test_default_plant_spans(self, season):
+        assert default_config(season).chp_stack.ramps_span is True
+
+    def test_ramps_exactly_at_the_edge_span(self):
+        span = CHP1.p_max - CHP1.p_min  # 4000 kW on both units
+        assert CHP1.p_min + span == CHP1.p_max and CHP1.p_max - span == CHP1.p_min
+        assert with_ramps(CFG, (-span, span), (-span, span)).chp_stack.ramps_span is True
+
+    @pytest.mark.parametrize("unit", [0, 1])
+    @pytest.mark.parametrize("short", ["ramp_down", "ramp_up"])
+    def test_one_ramp_one_kw_short_does_not_span(self, unit, short):
+        span = CHP1.p_max - CHP1.p_min
+        ramps = [(-span, span), (-span, span)]
+        down, up = ramps[unit]
+        ramps[unit] = (down + 1.0, up) if short == "ramp_down" else (down, up - 1.0)
+        assert with_ramps(CFG, *ramps).chp_stack.ramps_span is False
+
+
+class TestCommitmentIndex:
+    """Position of each unit's commitment flag, -1 when always on."""
+
+    @pytest.mark.parametrize(
+        "season, switchable, index",
+        [
+            ("winter", (), [-1, -1, -1]),
+            ("summer", ("chp2", "boiler"), [-1, 0, 1]),
+            ("summer", ("chp1", "chp2", "boiler"), [0, 1, 2]),
+            ("summer", ("boiler", "chp1"), [0, -1, 1]),
+        ],
+    )
+    def test_index_follows_the_decision_layout(self, season, switchable, index):
+        cfg = dataclasses.replace(default_config(season), switchable_units=frozenset(switchable))
+        assert cfg.commitment_index.tolist() == index
+        names = decision_names(cfg)
+        flags = names[2 * len(cfg.chp) + 1 :]
+        for unit, j in zip(cfg.unit_ids, index):
+            assert (unit in switchable) == (j >= 0)
+            assert j < 0 or flags[j] == f"{unit}_commit"
 
 
 #: Every numeric field of a config document, as (section, field).
