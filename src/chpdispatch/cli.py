@@ -41,6 +41,7 @@ from .moea import (
     merge_archives,
     read_archive_csv,
     run,
+    validate_epsilons,
     write_archive_csv,
 )
 from .plots import pareto_scatter_svg, tvsa_stacked_bars_svg
@@ -113,7 +114,7 @@ def _parse_epsilons(text: str) -> tuple[float, ...]:
         raise ValueError(f"bad epsilon list {text!r}") from exc
     if len(values) != 3:
         raise ValueError("exactly three epsilons are required (cost,emission,heat_waste)")
-    return values
+    return validate_epsilons(values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

@@ -8,6 +8,13 @@ beats any infeasible one.  Two solutions in the same box contest it by
 Euclidean distance to the box's lower corner (in epsilon-normalized space),
 with ties kept by the incumbent.
 
+The rule is stated once, over arrays.  A solution's key is its violation
+followed by its float64 box; :func:`_dominance` compares one key with a
+(1 + m, n) matrix of keys in a few array operations, and
+:func:`eps_dominates` is its one-row case.  The population and the archive
+each hold their members' keys as the columns of one matrix, in member
+order, and update one column per replacement or insert.
+
 Each offspring comes from one of six real-coded operators chosen with
 probability proportional to (archive members produced by that operator + 1),
 so operators that fill the archive get used more, while every operator
@@ -56,13 +63,25 @@ class Dominance(Enum):
     NEITHER = "neither"
 
 
+def validate_epsilons(epsilons: Sequence[float]) -> tuple[float, ...]:
+    """The epsilon vector as floats; rejects an empty vector and any entry
+    that is not finite and strictly positive, naming it."""
+    eps = tuple(float(e) for e in epsilons)
+    if len(eps) == 0:
+        raise ValueError("epsilons must not be empty")
+    for i, e in enumerate(eps):
+        if not (math.isfinite(e) and e > 0.0):
+            raise ValueError(f"epsilons[{i}] must be finite and > 0, got {e}")
+    return eps
+
+
 @dataclass
 class Solution:
     genome: np.ndarray
     objectives: np.ndarray
     violation: float
     operator_tag: str
-    _box: tuple[tuple[float, ...], tuple[int, ...]] | None = field(
+    _key: tuple[tuple[float, ...], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -76,14 +95,20 @@ class Solution:
     def feasible(self) -> bool:
         return self.violation == 0.0
 
-    def box(self, epsilons: Sequence[float]) -> tuple[int, ...]:
-        """:func:`box_index` of the objectives, kept for the last epsilon
-        vector asked about."""
+    def key(self, epsilons: Sequence[float]) -> np.ndarray:
+        """[violation, *box_index(objectives)] as float64, what
+        :func:`_dominance` compares; kept for the last epsilon vector asked
+        about.  Float64 holds each box exactly, since it is the floor of a
+        float64 quotient (an int64 box would overflow above 9.2e18)."""
         eps = tuple(epsilons)
-        cached = self._box
+        cached = self._key
         if cached is None or cached[0] != eps:
-            cached = self._box = (eps, box_index(self.objectives, eps))
+            key = np.array((self.violation, *box_index(self.objectives, eps)), dtype=float)
+            cached = self._key = (eps, key)
         return cached[1]
+
+    def box(self, epsilons: Sequence[float]) -> tuple[int, ...]:
+        return box_index(self.objectives, epsilons)
 
 
 def box_index(objectives: Sequence[float], epsilons: Sequence[float]) -> tuple[int, ...]:
@@ -105,36 +130,48 @@ def corner_distance(objectives: Sequence[float], epsilons: Sequence[float]) -> f
     return math.sqrt(total)
 
 
+def _dominance(key: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constrained epsilon-box domination of one solution's key against
+    others': the lower violation wins, and equal violations compare boxes.
+
+    ``key`` and ``keys`` are two (1 + m,) keys, or a (1 + m, 1) column
+    and a (1 + m, n) matrix with one key per column.  Returns (best,
+    worst), the max and min over each column of sign(other - solution),
+    with the violation's sign counted double so that it outranks every box
+    coordinate.  Then per column: best + worst > 0 where the solution
+    dominates, < 0 where the other dominates, and best == worst (both 0)
+    where the two share a box and a violation."""
+    signs = np.sign(keys - key)
+    signs[0] *= 2.0
+    return np.maximum.reduce(signs), np.minimum.reduce(signs)
+
+
 def eps_dominates(a: Solution, b: Solution, epsilons: Sequence[float]) -> Dominance:
-    """Constrained epsilon-box domination: the lower violation wins, and
-    equal violations compare boxes."""
-    if a.violation != b.violation:
-        return Dominance.A_DOMINATES if a.violation < b.violation else Dominance.B_DOMINATES
-    better = worse = False
-    for ai, bi in zip(a.box(epsilons), b.box(epsilons)):
-        if ai < bi:
-            better = True
-        elif ai > bi:
-            worse = True
-    if better:
-        return Dominance.NEITHER if worse else Dominance.A_DOMINATES
-    return Dominance.B_DOMINATES if worse else Dominance.SAME_BOX
+    """:func:`_dominance` of one pair."""
+    best, worst = _dominance(a.key(epsilons), b.key(epsilons))
+    score = best + worst
+    if score > 0.0:
+        return Dominance.A_DOMINATES
+    if score < 0.0:
+        return Dominance.B_DOMINATES
+    return Dominance.SAME_BOX if best == worst else Dominance.NEITHER
 
 
 class EpsilonArchive:
     """Bounded-diversity archive: at most one solution per epsilon box.
 
-    ``insert`` reports (accepted, eps_progress); progress means the
-    candidate claimed a previously empty box, the stagnation signal the
-    optimizer's restart trigger watches.
+    Members are kept in insertion order, with their keys as the columns of
+    one matrix and a count of members per operator tag.  ``insert``
+    reports (accepted, eps_progress); progress means the candidate claimed
+    a previously empty box, the stagnation signal the optimizer's restart
+    trigger watches.
     """
 
     def __init__(self, epsilons: Sequence[float]):
-        eps = tuple(float(e) for e in epsilons)
-        if len(eps) == 0 or any(e <= 0.0 for e in eps):
-            raise ValueError("epsilons must be strictly positive")
-        self._eps = eps
-        self._boxes: dict[tuple[int, ...], Solution] = {}
+        self._eps = validate_epsilons(epsilons)
+        self._members: list[Solution] = []
+        self._keys = np.empty((1 + len(self._eps), 0))
+        self._counts: dict[str, int] = {}
 
     @property
     def epsilons(self) -> tuple[float, ...]:
@@ -142,43 +179,47 @@ class EpsilonArchive:
 
     @property
     def members(self) -> list[Solution]:
-        return list(self._boxes.values())
+        return list(self._members)
 
     def __len__(self) -> int:
-        return len(self._boxes)
+        return len(self._members)
 
     def __iter__(self) -> Iterator[Solution]:
-        return iter(self._boxes.values())
+        return iter(self._members)
 
     def operator_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for sol in self._boxes.values():
-            counts[sol.operator_tag] = counts.get(sol.operator_tag, 0) + 1
-        return counts
+        return dict(self._counts)
 
     def insert(self, candidate: Solution) -> tuple[bool, bool]:
         eps = self._eps
-        key = candidate.box(eps)
-        occupied_before = key in self._boxes
-        to_remove: list[tuple[int, ...]] = []
-        for bkey, member in self._boxes.items():
-            outcome = eps_dominates(candidate, member, eps)
-            if outcome is Dominance.SAME_BOX:
-                # Keep whichever sits nearer the box's lower corner, the
-                # incumbent on an exact tie.
-                if corner_distance(candidate.objectives, eps) >= corner_distance(
-                    member.objectives, eps
-                ):
-                    return False, False
-                to_remove.append(bkey)
-            elif outcome is Dominance.A_DOMINATES:
-                to_remove.append(bkey)
-            elif outcome is Dominance.B_DOMINATES:
-                return False, False
-        for bkey in to_remove:
-            del self._boxes[bkey]
-        self._boxes[key] = candidate
-        return True, not occupied_before
+        key = candidate.key(eps)[:, None]
+        best, worst = _dominance(key, self._keys)
+        score = best + worst
+        if (score < 0.0).any():
+            return False, False
+        same_box = (self._keys[1:] == key[1:]).all(axis=0)
+        rival = np.flatnonzero(best == worst)
+        # Keep whichever sits nearer the box's lower corner, the incumbent
+        # on an exact tie.
+        if len(rival) and corner_distance(candidate.objectives, eps) >= corner_distance(
+            self._members[rival[0]].objectives, eps
+        ):
+            return False, False
+        removed = (score > 0.0) | same_box
+        if removed.any():
+            for i in np.flatnonzero(removed):
+                tag = self._members[i].operator_tag
+                self._counts[tag] -= 1
+                if self._counts[tag] == 0:
+                    del self._counts[tag]
+            keep = ~removed
+            self._members = [m for m, k in zip(self._members, keep) if k]
+            self._keys = self._keys[:, keep]
+        self._members.append(candidate)
+        self._keys = np.concatenate((self._keys, key), axis=1)
+        tag = candidate.operator_tag
+        self._counts[tag] = self._counts.get(tag, 0) + 1
+        return True, not same_box.any()
 
 
 def merge_archives(archives: Sequence[EpsilonArchive]) -> EpsilonArchive:
@@ -234,8 +275,7 @@ class MoeaConfig:
     def __post_init__(self) -> None:
         if self.genome_length < 1:
             raise ValueError("genome_length must be >= 1")
-        if any(e <= 0.0 for e in self.epsilons):
-            raise ValueError("epsilons must be strictly positive")
+        validate_epsilons(self.epsilons)
         if self.max_nfe < self.population_size:
             raise ValueError("max_nfe must be at least the population size")
         if self.population_size < 2:
@@ -244,6 +284,10 @@ class MoeaConfig:
             raise ValueError("bound must be > 0")
         if not 0.0 < self.injection_ratio <= 1.0:
             raise ValueError("injection_ratio must be in (0, 1]")
+        if self.tournament_size < 1:
+            raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
+        if self.restart_window is not None and self.restart_window < 1:
+            raise ValueError(f"restart_window must be >= 1, got {self.restart_window}")
 
 
 Evaluator = Callable[[np.ndarray], tuple[Sequence[float], float]]
@@ -266,22 +310,33 @@ def _tournament(
     return best
 
 
+class _Population:
+    """The working population: its solutions, with their keys as the
+    columns of one matrix."""
+
+    def __init__(self, members: list[Solution], epsilons: tuple[float, ...]):
+        self.members = members
+        self.keys = np.stack([m.key(epsilons) for m in members], axis=1)
+
+
 def _replace_in_population(
     rng: np.random.Generator,
-    population: list[Solution],
+    population: _Population,
     child: Solution,
     epsilons: tuple[float, ...],
-) -> None:
-    dominated = [
-        i
-        for i, member in enumerate(population)
-        if eps_dominates(child, member, epsilons) is Dominance.A_DOMINATES
-    ]
-    if dominated:
-        index = dominated[int(rng.integers(len(dominated)))]
+) -> int:
+    """Put the child in place of a random member it dominates, or of a
+    random member when it dominates none; returns the member's index."""
+    key = child.key(epsilons)
+    best, worst = _dominance(key[:, None], population.keys)
+    dominated = np.flatnonzero(best + worst > 0.0)
+    if len(dominated):
+        index = int(dominated[rng.integers(len(dominated))])
     else:
-        index = int(rng.integers(len(population)))
-    population[index] = child
+        index = int(rng.integers(len(population.members)))
+    population.members[index] = child
+    population.keys[:, index] = key
+    return index
 
 
 def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
@@ -294,7 +349,7 @@ def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
     rng = np.random.default_rng(seed)
     eps = config.epsilons
     archive = EpsilonArchive(eps)
-    population: list[Solution] = []
+    members: list[Solution] = []
     nfe = 0
 
     def evaluate(genome: np.ndarray, tag: str) -> Solution:
@@ -312,14 +367,15 @@ def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
         sol = evaluate(
             rng.uniform(-config.bound, config.bound, config.genome_length), "init"
         )
-        population.append(sol)
+        members.append(sol)
         archive.insert(sol)
+    population = _Population(members, eps)
 
     stall = 0
     while nfe < config.max_nfe:
         name = select_operator(rng, archive)
         parents = [
-            _tournament(rng, population, eps, config.tournament_size).genome
+            _tournament(rng, population.members, eps, config.tournament_size).genome
             for _ in range(OPERATOR_ARITY[name])
         ]
         child = evaluate(vary(rng, name, parents, config.bound, config.variation), name)
@@ -330,7 +386,7 @@ def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
         window = (
             config.restart_window
             if config.restart_window is not None
-            else len(population)
+            else len(population.members)
         )
         if stall >= window and nfe < config.max_nfe:
             members = archive.members
@@ -338,14 +394,14 @@ def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
                 math.ceil(len(members) / config.injection_ratio),
                 config.population_size,
             )
-            population = list(members)
-            while len(population) < target and nfe < config.max_nfe:
+            del population  # free the old members before the injections arrive
+            injected = list(members)
+            while len(injected) < target and nfe < config.max_nfe:
                 base = members[int(rng.integers(len(members)))]
-                injected = evaluate(
-                    um(rng, base.genome, config.bound, config.variation), "um"
-                )
-                archive.insert(injected)
-                population.append(injected)
+                sol = evaluate(um(rng, base.genome, config.bound, config.variation), "um")
+                archive.insert(sol)
+                injected.append(sol)
+            population = _Population(injected, eps)
             stall = 0
     return archive
 

@@ -134,22 +134,14 @@ def forced_off_mask(outputs: np.ndarray, config: MicrogridConfig) -> np.ndarray:
     True where a commitment output switches the decision's unit off in
     every scenario, emptying that cell."""
     nc = len(config.chp)
-    k = outputs.shape[2]
-    owner: list[str | None] = [None] * k
-    for i in range(nc):
-        owner[i] = f"chp{i + 1}"
-        owner[nc + i] = f"chp{i + 1}"
-    owner[2 * nc] = "boiler"
-
-    off_all = {
-        unit: (outputs[:, :, 2 * nc + 1 + j] < 0.5).all(axis=0)
-        for j, unit in enumerate(config.commitment_units)
-    }
-    mask = np.zeros((k, HOURS_PER_DAY), dtype=bool)
-    for d in range(k):
-        unit = owner[d]
-        if unit in off_all:
-            mask[d] = off_all[unit]
+    # Off in every scenario, per commitment flag, plus a last column of
+    # False that commitment index -1 (always committed) reads.
+    off = np.zeros((HOURS_PER_DAY, len(config.commitment_units) + 1), dtype=bool)
+    off[:, :-1] = (outputs[:, :, 2 * nc + 1 :] < 0.5).all(axis=0)
+    # Each power, steam and boiler decision's commitment flag, in order.
+    flags = np.concatenate((config.commitment_index[:nc], config.commitment_index))
+    mask = np.zeros((outputs.shape[2], HOURS_PER_DAY), dtype=bool)
+    mask[: 2 * nc + 1] = off[:, flags].T
     return mask
 
 

@@ -91,6 +91,28 @@ class TestTrain:
         assert "chp[0]: heating_value must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            ("nan,1,1", "epsilons[0] must be finite and > 0, got nan"),
+            ("10,inf,0.01", "epsilons[1] must be finite and > 0, got inf"),
+            ("10,1,0", "epsilons[2] must be finite and > 0, got 0.0"),
+        ],
+    )
+    def test_bad_epsilon_exits_2_naming_it(self, tmp_path, scenario_csv, capsys, epsilons, message):
+        code = main(
+            [
+                "train",
+                "--scenarios", str(scenario_csv),
+                "--epsilons", epsilons,
+                "--nfe", "100",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_reads_inputs_once(self, tmp_path, scenario_csv, monkeypatch):
         import chpdispatch.cli as cli
         from chpdispatch.batch import BatchEvaluator

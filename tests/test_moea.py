@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from chpdispatch import moea
 from chpdispatch.moea import (
     Dominance,
     EpsilonArchive,
@@ -20,6 +23,7 @@ from chpdispatch.moea import (
     write_archive_csv,
 )
 from chpdispatch.variation import OPERATOR_NAMES
+from chpdispatch.variation import um as moea_um
 
 EPS3 = (10.0, 1.0, 0.01)
 
@@ -72,6 +76,13 @@ class TestEpsDominates:
     def test_negative_objectives_box_correctly(self):
         a = sol([-25.0, 0.0, 0.0])
         assert box_index(a.objectives, EPS3)[0] == -3
+
+    def test_box_overflow_raises(self):
+        # an infinite box would compare as NaN; it must stop the run instead
+        with pytest.raises(OverflowError):
+            box_index([1e300, 1.0, 1.0], (1e-300, 1.0, 1.0))
+        with pytest.raises(OverflowError):
+            EpsilonArchive((1e-300, 1.0, 1.0)).insert(sol([1e300, 1.0, 1.0]))
 
     def test_epsilon_count_must_match_objectives(self):
         with pytest.raises(ValueError, match="1 epsilons for 3 objectives"):
@@ -147,6 +158,43 @@ class TestArchiveInsert:
     def test_bad_epsilons_rejected(self):
         with pytest.raises(ValueError):
             EpsilonArchive((1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "epsilons, bad",
+        [
+            ((1.0, float("nan"), 1.0), r"epsilons\[1\] must be finite and > 0, got nan"),
+            ((float("inf"), 1.0, 1.0), r"epsilons\[0\] must be finite and > 0, got inf"),
+            ((1.0, 1.0, float("-inf")), r"epsilons\[2\] must be finite and > 0, got -inf"),
+            ((1.0, -2.0, 1.0), r"epsilons\[1\] must be finite and > 0, got -2.0"),
+            ((), "epsilons must not be empty"),
+        ],
+    )
+    def test_non_finite_and_empty_epsilons_named(self, epsilons, bad):
+        with pytest.raises(ValueError, match=bad):
+            EpsilonArchive(epsilons)
+        with pytest.raises(ValueError, match=bad):
+            MoeaConfig(genome_length=4, epsilons=epsilons, max_nfe=100)
+
+    def test_wrong_epsilon_count_rejected_on_insert(self):
+        archive = EpsilonArchive((1.0,))
+        with pytest.raises(ValueError, match="1 epsilons for 3 objectives"):
+            archive.insert(sol([1.0, 2.0, 3.0]))
+        archive = EpsilonArchive((1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="4 epsilons for 3 objectives"):
+            archive.insert(sol([1.0, 2.0, 3.0]))
+        assert len(archive) == 0
+
+    def test_operator_counts_follow_inserts_and_removals(self):
+        archive = EpsilonArchive((1.0, 1.0, 1.0))
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            tag = OPERATOR_NAMES[int(rng.integers(len(OPERATOR_NAMES)))]
+            violation = float(rng.choice([0.0, 0.0, 0.5, 1.0]))
+            archive.insert(sol(rng.uniform(0.0, 8.0, 3), violation=violation, tag=tag))
+            counts: dict = {}
+            for m in archive:
+                counts[m.operator_tag] = counts.get(m.operator_tag, 0) + 1
+            assert archive.operator_counts() == counts
 
     def test_box_coverage_only_lost_to_domination(self):
         # An accepted candidate may evict a box only by dominating its
@@ -247,6 +295,83 @@ class TestInsertMatchesReferenceRule:
             assert len(members) == len(reference)
             assert all(a is b for a, b in zip(members, reference.values()))
         assert any(m.objectives.min() < 0.0 for m in seen)
+
+
+def _reference_dominates(child: Solution, member: Solution, eps) -> bool:
+    """Whether the child epsilon-dominates the member, written out with its
+    own violation branch over integer boxes, as the population scan once
+    applied the rule member by member."""
+    cv, mv = child.violation, member.violation
+    if cv != mv:
+        return cv < mv
+    cbox, mbox = box_index(child.objectives, eps), box_index(member.objectives, eps)
+    better = any(c < m for c, m in zip(cbox, mbox))
+    worse = any(c > m for c, m in zip(cbox, mbox))
+    return better and not worse
+
+
+class TestReplacementMatchesReferenceRule:
+    """Population replacement over the key matrix picks the same dominated
+    rows and, from the same generator state, the same replaced index as
+    the scalar rule applied member by member."""
+
+    @pytest.mark.parametrize("scale", [1.0, 4e18])
+    @pytest.mark.parametrize("feasible_share", [0.0, 0.5, 1.0])
+    def test_every_step_matches(self, scale, feasible_share):
+        eps = (1.0, 0.5, 0.25)
+        rng = np.random.default_rng(int(feasible_share * 10) + (7 if scale > 1.0 else 0))
+
+        def draw(seen):
+            pick = rng.random()
+            if seen and pick < 0.15:
+                # exact duplicate of an earlier solution's objectives
+                objectives = seen[int(rng.integers(len(seen)))].objectives.copy()
+            elif seen and pick < 0.3:
+                # elsewhere in an earlier solution's box
+                base = seen[int(rng.integers(len(seen)))]
+                objectives = np.floor(base.objectives / eps) * eps
+                if scale == 1.0:  # at 4e18 every float is a box corner
+                    objectives = objectives + rng.uniform(0.0, 1.0, 3) * eps
+            elif pick < 0.45:
+                # exactly on a box edge (epsilons are powers of two)
+                objectives = rng.integers(-12, 12, 3) * np.asarray(eps) * scale
+            else:
+                objectives = rng.uniform(-3.0, 3.0, 3) * np.asarray(eps) * 4.0 * scale
+            if rng.random() < feasible_share:
+                violation = 0.0
+            elif rng.random() < 0.6:
+                violation = float(rng.choice([0.25, 0.5, 1.0]))
+            else:
+                violation = float(rng.uniform(0.0, 2.0))
+            return sol(objectives, violation=violation)
+
+        seen: list[Solution] = []
+        for _ in range(40):
+            seen.append(draw(seen))
+        population = moea._Population(list(seen), eps)
+        reference = list(seen)
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(400):
+            child = draw(seen)
+            seen.append(child)
+            best, worst = moea._dominance(child.key(eps)[:, None], population.keys)
+            want = [i for i, m in enumerate(reference) if _reference_dominates(child, m, eps)]
+            assert list(np.flatnonzero(best + worst > 0.0)) == want
+            index = moea._replace_in_population(ours, population, child, eps)
+            if want:
+                expected = want[int(theirs.integers(len(want)))]
+            else:
+                expected = int(theirs.integers(len(reference)))
+            reference[expected] = child
+            assert index == expected
+            assert all(a is b for a, b in zip(population.members, reference))
+            assert np.array_equal(
+                population.keys, np.stack([m.key(eps) for m in reference], axis=1)
+            )
+        assert any(m.objectives.min() < 0.0 for m in seen)
+        if scale > 1.0:
+            # boxes beyond the int64 range still compare exactly
+            assert max(abs(b) for m in seen for b in m.box(eps)) > 2**63
 
 
 class TestBoxFollowsEpsilons:
@@ -424,6 +549,19 @@ class TestRun:
         with pytest.raises(ValueError):
             MoeaConfig(genome_length=4, epsilons=(0.5, -1.0), max_nfe=100)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tournament_size", 0), ("tournament_size", -1), ("restart_window", 0), ("restart_window", -5)],
+    )
+    def test_tournament_and_restart_window_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=100, **{field: value})
+
+    def test_wrong_epsilon_count_rejected_by_run(self):
+        config = MoeaConfig(genome_length=4, epsilons=(0.5,), max_nfe=20, population_size=10)
+        with pytest.raises(ValueError, match="1 epsilons for 3 objectives"):
+            run(config, sphereish, seed=0)
+
 
 class TestArchiveCsv:
     def test_round_trip(self, tmp_path):
@@ -455,3 +593,49 @@ class TestArchiveCsv:
         write_archive_csv(archive, path)
         with pytest.raises(ValueError):
             read_archive_csv(path, (1.0, 1.0))
+
+
+def dtlz2(genome):
+    x = (np.asarray(genome) + 10.0) / 20.0
+    g = float(((x[2:] - 0.5) ** 2).sum())
+    a0, a1 = 0.5 * np.pi * x[0], 0.5 * np.pi * x[1]
+    return (1.0 + g) * np.array(
+        [np.cos(a0) * np.cos(a1), np.cos(a0) * np.sin(a1), np.sin(a0)]
+    ), 0.0
+
+
+def quantized_constraint(genome):
+    """Shifted sphere objectives (some negative) and a violation rounded to
+    0.1, so that equal nonzero violations are common."""
+    x = np.asarray(genome)
+    objectives, _ = sphereish(x)
+    return objectives - 2.0, round(max(0.0, 1.5 - float(np.linalg.norm(x))), 1)
+
+
+class TestPinnedArchives:
+    """sha256 of two short runs' archive CSVs.  A change to the optimizer's
+    bookkeeping must keep these bytes; one that means to move them must say
+    so and record the new digests."""
+
+    def _digest(self, tmp_path, config, evaluator, seed, names):
+        path = tmp_path / "archive.csv"
+        write_archive_csv(run(config, evaluator, seed), path, names)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_dtlz2(self, tmp_path):
+        config = MoeaConfig(genome_length=12, epsilons=(0.05, 0.05, 0.05), max_nfe=2000,
+                            bound=10.0)
+        assert self._digest(tmp_path, config, dtlz2, 0, ("f0", "f1", "f2")) == (
+            "e000af2719efbe6d8c621115ca33568d70b2f99409819cdd04b4ce42a3fd4159"
+        )
+
+    def test_constrained_with_restarts(self, tmp_path, monkeypatch):
+        injected = []
+        monkeypatch.setattr(moea, "um", lambda *args: injected.append(1) or moea_um(*args))
+        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=1000,
+                            population_size=10, bound=2.0, restart_window=15)
+        digest = self._digest(
+            tmp_path, config, quantized_constraint, 3, ("cost", "emission", "heat_waste")
+        )
+        assert injected  # restarts happened
+        assert digest == "37c4d8f67c55d50f6ab004260206509f9aaf0e333e7fef767636d1e3c1c3e0dc"

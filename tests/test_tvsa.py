@@ -225,6 +225,31 @@ class TestForcedOff:
         assert not mask[0].any() and not mask[2].any()
         assert not mask[5].any() and not mask[6].any()
 
+    @pytest.mark.parametrize(
+        "switchable",
+        [(), ("chp2", "boiler"), ("chp1",), ("boiler",), ("chp1", "chp2", "boiler")],
+    )
+    def test_mask_matches_unit_by_unit_reference(self, summer_config, switchable):
+        # The mask written out unit by unit over the decision layout
+        # (power, steam, boiler steam, commitment flags), on outputs where
+        # each flag is off in every scenario for some hours only.
+        config = dataclasses.replace(summer_config, switchable_units=frozenset(switchable))
+        nc = len(config.chp)
+        flags = config.commitment_units
+        k = 2 * nc + 1 + len(flags)
+        rng = np.random.default_rng(len(switchable))
+        outputs = rng.uniform(0.5, 1.0, (6, 24, k))
+        for j in range(len(flags)):
+            hours = rng.random(24) < 0.5
+            outputs[:, hours, 2 * nc + 1 + j] = rng.uniform(0.0, 0.49, (6, int(hours.sum())))
+        owners = [f"chp{i + 1}" for i in range(nc)] * 2 + ["boiler"] + [None] * len(flags)
+        expected = np.zeros((k, 24), dtype=bool)
+        for d, unit in enumerate(owners):
+            if unit in flags:
+                expected[d] = (outputs[:, :, 2 * nc + 1 + flags.index(unit)] < 0.5).all(axis=0)
+        assert np.array_equal(forced_off_mask(outputs, config), expected)
+        assert expected.any() == bool(flags)
+
     def test_empty_cells_marked_in_report_and_csv(self, tmp_path, summer_config, summer_scenarios):
         policy = self._off_policy(summer_config, summer_scenarios)
         report = build_report(policy, summer_scenarios, config=summer_config)
