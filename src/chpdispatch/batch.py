@@ -6,15 +6,19 @@ genome to its ensemble objectives with one forward pass over every
 (scenario, hour) and one call of the dispatch kernel in
 :mod:`.environment`.  The observable inputs do not depend on past actions,
 so the whole day's network outputs are computed up front.
+
+The inputs are held as one C-contiguous (6, S * 24) array, and a genome
+runs through :mod:`.policy`'s one decoder and forward pass, with no policy
+object per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .environment import Ensemble, day_objectives, decision_dim, dispatch
+from .environment import HOURS_PER_DAY, Ensemble, day_objectives, decision_dim, dispatch
 from .grid_model import MicrogridConfig
-from .policy import InputNormalization, PolicyNetwork, weight_count
+from .policy import InputNormalization, forward_columns, split_genome, weight_count
 
 
 class BatchEvaluator:
@@ -33,32 +37,27 @@ class BatchEvaluator:
         hidden_dim: int = 15,
     ):
         self.config = config
-        self.normalization = normalization
         self.hidden_dim = hidden_dim
         self.input_dim = len(normalization.offsets)
         self.output_dim = decision_dim(config)
         if len(scenarios) == 0:
             raise ValueError("scenario ensemble must be nonempty")
         self.days = scenarios
-        self.inputs = normalization.normalize(scenarios.policy_inputs())
+        self.inputs = normalization.columns(scenarios.policy_inputs())
 
     @property
     def genome_length(self) -> int:
         return weight_count(self.input_dim, self.hidden_dim, self.output_dim)
 
-    def policy(self, genome: np.ndarray) -> PolicyNetwork:
-        """The genome as a policy artifact (e.g. for export after training)."""
-        return PolicyNetwork.decode(
-            np.asarray(genome, dtype=float),
-            input_dim=self.input_dim,
-            hidden_dim=self.hidden_dim,
-            output_dim=self.output_dim,
-            normalization=self.normalization,
-        )
-
     def decisions(self, genome: np.ndarray) -> np.ndarray:
-        """Network outputs for every (scenario, hour), shape (S, 24, k)."""
-        return self.policy(genome).forward_normalized(self.inputs)
+        """Network outputs for every (scenario, hour), shape (S, 24, k): the
+        view of a contiguous (k, S, 24) array, so the kernel's unit-first
+        copy reads contiguous memory."""
+        layers = split_genome(
+            np.asarray(genome, dtype=float), self.input_dim, self.hidden_dim, self.output_dim
+        )
+        u = forward_columns(layers, self.inputs)
+        return u.reshape(self.output_dim, len(self.days), HOURS_PER_DAY).transpose(1, 2, 0)
 
     def __call__(self, genome: np.ndarray) -> tuple[np.ndarray, float]:
         trace = dispatch(self.decisions(genome), self.days, self.config)

@@ -50,6 +50,7 @@ from .policy import (
     InputNormalization,
     PolicyNetwork,
     load_policy,
+    policy_from_doc,
 )
 from .tvsa import build_report, export_report_csv
 
@@ -250,26 +251,16 @@ def _policy_from_args(
         archive_path = Path(args.archive)
         if not archive_path.exists():
             raise FileNotFoundError(f"archive not found: {archive_path}")
+        sidecar_path = _sidecar_path(archive_path)
         sidecar = _load_sidecar(archive_path)
-        epsilons = tuple(sidecar["epsilons"])
-        archive = read_archive_csv(archive_path, epsilons)
-        members = archive.members
+        members = read_archive_csv(archive_path, tuple(sidecar["epsilons"])).members
         if not 0 <= args.row < len(members):
             raise ValueError(f"row {args.row} out of range for archive of {len(members)}")
         config = config_from_dict(sidecar["microgrid_config"])
-        normalization = InputNormalization(
-            offsets=tuple(sidecar["normalization"]["offsets"]),
-            scales=tuple(sidecar["normalization"]["scales"]),
+        policy = policy_from_doc(
+            sidecar, f"archive sidecar {sidecar_path}", members[args.row].genome
         )
-        genome = members[args.row].genome
-        policy = PolicyNetwork.decode(
-            genome,
-            input_dim=len(normalization.offsets),
-            hidden_dim=sidecar["hidden_dim"],
-            output_dim=len(sidecar["decision_names"]),
-            normalization=normalization,
-        )
-        return policy, config, [archive_path, _sidecar_path(archive_path)]
+        return policy, config, [archive_path, sidecar_path]
     policy_path = Path(args.policy)
     if not policy_path.exists():
         raise FileNotFoundError(f"policy artifact not found: {policy_path}")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -165,13 +166,28 @@ class EpsilonArchive:
     reports (accepted, eps_progress); progress means the candidate claimed
     a previously empty box, the stagnation signal the optimizer's restart
     trigger watches.
+
+    An archive may start from ``members`` kept in their given order, such
+    as an archive file's rows.  They must be mutually non-dominated and in
+    distinct boxes, or a ValueError names the first two rows that are not.
     """
 
-    def __init__(self, epsilons: Sequence[float]):
+    def __init__(self, epsilons: Sequence[float], members: Sequence[Solution] = ()):
         self._eps = validate_epsilons(epsilons)
-        self._members: list[Solution] = []
-        self._keys = np.empty((1 + len(self._eps), 0))
-        self._counts: dict[str, int] = {}
+        self._members = list(members)
+        self._keys = np.empty((1 + len(self._eps), len(members)))
+        for i, m in enumerate(members):
+            self._keys[:, i] = m.key(self._eps)
+        # Each row against the rows after it, so memory stays linear in n.
+        for i in range(len(members) - 1):
+            best, worst = _dominance(self._keys[:, i : i + 1], self._keys[:, i + 1 :])
+            clash = np.flatnonzero((best + worst != 0.0) | (best == worst))
+            if len(clash):
+                raise ValueError(
+                    f"rows {i} and {i + 1 + clash[0]} share an epsilon box"
+                    " or one dominates the other"
+                )
+        self._counts: dict[str, int] = Counter(m.operator_tag for m in members)
 
     @property
     def epsilons(self) -> tuple[float, ...]:
@@ -430,6 +446,8 @@ def write_archive_csv(
 
 
 def read_archive_csv(path: str | Path, epsilons: Sequence[float]) -> EpsilonArchive:
+    """The archive a file holds, its rows as members in file order; rejects
+    rows that an archive could not hold together, naming them."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -446,14 +464,16 @@ def read_archive_csv(path: str | Path, epsilons: Sequence[float]) -> EpsilonArch
             raise ValueError(
                 f"{path}: {n_objectives} objectives but {len(epsilons)} epsilons"
             )
-        archive = EpsilonArchive(epsilons)
-        for row in reader:
-            archive.insert(
-                Solution(
-                    genome=np.array([float(x) for x in row[operator_col + 1 :]]),
-                    objectives=np.array([float(x) for x in row[:n_objectives]]),
-                    violation=float(row[violation_col]),
-                    operator_tag=row[operator_col],
-                )
+        members = [
+            Solution(
+                genome=np.array([float(x) for x in row[operator_col + 1 :]]),
+                objectives=np.array([float(x) for x in row[:n_objectives]]),
+                violation=float(row[violation_col]),
+                operator_tag=row[operator_col],
             )
-    return archive
+            for row in reader
+        ]
+    try:
+        return EpsilonArchive(epsilons, members)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -8,6 +8,12 @@ closed form for the sensitivity analysis.
 
 Flat layout (documented and stable): row-major ``W1`` (hidden x input),
 then ``b1``, then row-major ``W2`` (output x hidden), then ``b2``.
+:func:`split_genome` slices a genome into these layers, and
+:func:`forward_columns` runs them on normalized inputs held as the columns
+of an (input_dim, N) array; :class:`PolicyNetwork` and
+:class:`.batch.BatchEvaluator` both use the two.  ``forward`` copies its
+result to a C-contiguous (..., output_dim) array, because reductions over a
+strided view, such as the TVSA's variances, sum in another order.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ class InputNormalization:
     def __post_init__(self) -> None:
         if len(self.offsets) != len(self.scales):
             raise ValueError("offsets and scales must have equal length")
+        _require_finite("offsets", self.offsets)
+        _require_finite("scales", self.scales)
         if any(s == 0.0 for s in self.scales):
             raise ValueError("scales must be nonzero")
 
@@ -50,6 +58,12 @@ class InputNormalization:
         return (np.asarray(raw, dtype=float) - np.asarray(self.offsets)) / np.asarray(
             self.scales
         )
+
+    def columns(self, raw: np.ndarray) -> np.ndarray:
+        """The normalized rows of ``raw`` (..., input_dim) as the columns of
+        one C-contiguous (input_dim, N) array."""
+        x = self.normalize(raw)
+        return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
 
     @classmethod
     def from_scenarios(cls, scenarios: Ensemble) -> "InputNormalization":
@@ -65,8 +79,36 @@ class InputNormalization:
         return cls(offsets=offsets, scales=scales)
 
 
+def _require_finite(name: str, values) -> None:
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(f"{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
+
+
 def weight_count(input_dim: int, hidden_dim: int, output_dim: int) -> int:
     return (input_dim + 1) * hidden_dim + (hidden_dim + 1) * output_dim
+
+
+def split_genome(flat: np.ndarray, input_dim: int, hidden_dim: int, output_dim: int):
+    """Views (W1, b1, W2, b2) of a flat genome; rejects a wrong length."""
+    ni, nh, no = input_dim, hidden_dim, output_dim
+    expected = weight_count(ni, nh, no)
+    if flat.shape != (expected,):
+        raise ValueError(f"expected {expected} weights, got {flat.shape}")
+    off = ni * nh + nh
+    w1 = flat[: ni * nh].reshape(nh, ni)
+    b1 = flat[ni * nh : off]
+    w2 = flat[off : off + nh * no].reshape(no, nh)
+    b2 = flat[off + nh * no :]
+    return w1, b1, w2, b2
+
+
+def forward_columns(layers, x: np.ndarray) -> np.ndarray:
+    """Decisions (output_dim, N) of the network ``layers`` (from
+    :func:`split_genome`) at normalized inputs ``x`` (input_dim, N)."""
+    w1, b1, w2, b2 = layers
+    return sigmoid(w2 @ sigmoid(w1 @ x + b1[:, None]) + b2[:, None])
 
 
 @dataclass(frozen=True)
@@ -82,27 +124,16 @@ class PolicyNetwork:
     normalization: InputNormalization
 
     def __post_init__(self) -> None:
-        expected = weight_count(self.input_dim, self.hidden_dim, self.output_dim)
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (expected,):
-            raise ValueError(
-                f"weight vector must have length {expected}, got {w.shape}"
-            )
-        if len(self.normalization.offsets) != self.input_dim:
-            raise ValueError("normalization size must match input_dim")
-        w = w.copy()
+        w = np.array(self.weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        self._layers()  # checks the length
+        _require_finite("weights", w)
+        if len(self.normalization.offsets) != self.input_dim:
+            raise ValueError("normalization size must match input_dim")
 
     def _layers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        ni, nh, no = self.input_dim, self.hidden_dim, self.output_dim
-        w = self.weights
-        w1 = w[: ni * nh].reshape(nh, ni)
-        b1 = w[ni * nh : ni * nh + nh]
-        off = ni * nh + nh
-        w2 = w[off : off + nh * no].reshape(no, nh)
-        b2 = w[off + nh * no :]
-        return w1, b1, w2, b2
+        return split_genome(self.weights, self.input_dim, self.hidden_dim, self.output_dim)
 
     def _raw_inputs(self, obs) -> np.ndarray:
         raw = np.asarray(obs, float)
@@ -113,17 +144,10 @@ class PolicyNetwork:
     def forward(self, obs) -> np.ndarray:
         """Normalized decisions in (0, 1), one per output, for one
         observation or for every row of an array of shape (..., input_dim);
-        the result has shape (..., output_dim)."""
-        return self.forward_normalized(self.normalization.normalize(self._raw_inputs(obs)))
-
-    def forward_normalized(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on inputs already passed through the
-        normalization, so a caller that evaluates many genomes on the same
-        inputs normalizes them once."""
-        w1, b1, w2, b2 = self._layers()
-        hidden = sigmoid(x.reshape(-1, self.input_dim) @ w1.T + b1)
-        u = sigmoid(hidden @ w2.T + b2)
-        return u.reshape(x.shape[:-1] + (self.output_dim,))
+        the result has shape (..., output_dim) and is C-contiguous."""
+        raw = self._raw_inputs(obs)
+        u = forward_columns(self._layers(), self.normalization.columns(raw))
+        return np.ascontiguousarray(u.T).reshape(raw.shape[:-1] + (self.output_dim,))
 
     def input_gradient(self, obs) -> np.ndarray:
         """Jacobian d(decision) / d(raw input), shape (output_dim,
@@ -131,7 +155,8 @@ class PolicyNetwork:
         (..., input_dim); the result has shape (..., output_dim, input_dim).
 
         Analytic chain rule through both sigmoid layers, including the
-        normalization scales, so entries are per raw input unit.
+        normalization scales, so entries are per raw input unit.  It keeps
+        batched per-row products, whose bits differ from :func:`forward_columns`.
         """
         raw = self._raw_inputs(obs)
         x = self.normalization.normalize(raw).reshape(-1, self.input_dim, 1)
@@ -156,10 +181,6 @@ class PolicyNetwork:
         output_dim: int,
         normalization: InputNormalization,
     ) -> "PolicyNetwork":
-        flat = np.asarray(flat, dtype=float)
-        expected = weight_count(input_dim, hidden_dim, output_dim)
-        if flat.shape != (expected,):
-            raise ValueError(f"expected {expected} weights, got {flat.shape}")
         return cls(
             input_dim=input_dim,
             hidden_dim=hidden_dim,
@@ -185,19 +206,31 @@ def save_policy(net: PolicyNetwork, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_policy(path: str | Path) -> PolicyNetwork:
-    doc = json.loads(Path(path).read_text())
+def policy_from_doc(doc: dict, source: str, genome: np.ndarray | None = None) -> PolicyNetwork:
+    """The policy a JSON document describes: a policy artifact, which holds
+    its weights, or an archive sidecar given one archive row's ``genome``
+    (its normalization gives the input count, its decision names the
+    output count).  A missing or mistyped field raises a ValueError naming
+    ``source``."""
     try:
-        norm = InputNormalization(
+        normalization = InputNormalization(
             offsets=tuple(doc["normalization"]["offsets"]),
             scales=tuple(doc["normalization"]["scales"]),
         )
-        return PolicyNetwork.decode(
-            np.array(doc["weights"], dtype=float),
-            input_dim=doc["input_dim"],
+        if genome is None:
+            input_dim, output_dim, genome = doc["input_dim"], doc["output_dim"], doc["weights"]
+        else:
+            input_dim, output_dim = len(normalization.offsets), len(doc["decision_names"])
+        return PolicyNetwork(
+            input_dim=input_dim,
             hidden_dim=doc["hidden_dim"],
-            output_dim=doc["output_dim"],
-            normalization=norm,
+            output_dim=output_dim,
+            weights=genome,
+            normalization=normalization,
         )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed policy artifact {path}: {exc}") from exc
+        raise ValueError(f"malformed {source}: {exc}") from exc
+
+
+def load_policy(path: str | Path) -> PolicyNetwork:
+    return policy_from_doc(json.loads(Path(path).read_text()), f"policy artifact {path}")

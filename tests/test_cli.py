@@ -353,6 +353,90 @@ class TestTvsaCommand:
         assert "2 scenarios" in capsys.readouterr().err
 
 
+def copy_archive(trained, directory, edit_rows=None, edit_sidecar=None):
+    """The trained archive and its sidecar copied into ``directory``,
+    after ``edit_rows`` (on the CSV rows) and ``edit_sidecar`` (on the
+    sidecar document) have changed them in place."""
+    with open(trained, newline="") as fh:
+        rows = list(csv.reader(fh))
+    sidecar = json.loads(trained.with_suffix(".json").read_text())
+    if edit_rows:
+        edit_rows(rows)
+    if edit_sidecar:
+        edit_sidecar(sidecar)
+    path = directory / "archive.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tvsa"])
+class TestPolicySourceValidation:
+    def run(self, command, scenario_csv, source, out):
+        return main([command, "--scenarios", str(scenario_csv), *source, "--out", str(out)])
+
+    def test_non_finite_artifact_weight_exits_2_naming_it(
+        self, tmp_path, scenario_csv, capsys, command
+    ):
+        artifact = tmp_path / "policy.json"
+        norm = InputNormalization(offsets=(0.0,) * 6, scales=(1.0,) * 6)
+        save_policy(PolicyNetwork.decode(np.zeros(185), 6, 15, 5, norm), artifact)
+        doc = json.loads(artifact.read_text())
+        doc["weights"][3] = float("nan")
+        artifact.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert self.run(command, scenario_csv, ["--policy", str(artifact)], out) == 2
+        assert "weights[3] must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_archive_weight_exits_2_naming_it(
+        self, tmp_path, scenario_csv, trained, capsys, command
+    ):
+        def poison(rows):
+            rows[1][rows[0].index("w3")] = "nan"
+
+        archive = copy_archive(trained, tmp_path, edit_rows=poison)
+        out = tmp_path / "out"
+        assert self.run(command, scenario_csv, ["--archive", str(archive)], out) == 2
+        assert "weights[3] must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_sidecar_normalization_exits_2_naming_it(
+        self, tmp_path, scenario_csv, trained, capsys, command
+    ):
+        def poison(sidecar):
+            sidecar["normalization"]["scales"][2] = float("inf")
+
+        archive = copy_archive(trained, tmp_path, edit_sidecar=poison)
+        assert self.run(command, scenario_csv, ["--archive", str(archive)], tmp_path / "o") == 2
+        assert "scales[2] must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["hidden_dim", "normalization"])
+    def test_sidecar_missing_field_exits_2_as_malformed(
+        self, tmp_path, scenario_csv, trained, capsys, command, field
+    ):
+        archive = copy_archive(trained, tmp_path, edit_sidecar=lambda doc: doc.pop(field))
+        assert self.run(command, scenario_csv, ["--archive", str(archive)], tmp_path / "o") == 2
+        sidecar = archive.with_suffix(".json")
+        assert f"malformed archive sidecar {sidecar}: '{field}'" in capsys.readouterr().err
+
+    def test_dominated_archive_row_exits_2_naming_rows(
+        self, tmp_path, scenario_csv, trained, capsys, command
+    ):
+        def add_dominated_row(rows):
+            # A copy of row 0 with every objective and the violation worse.
+            worse = list(rows[1])
+            for col in range(4):
+                worse[col] = repr(float(worse[col]) * 2.0 + 100.0)
+            rows.insert(1, worse)
+
+        archive = copy_archive(trained, tmp_path, edit_rows=add_dominated_row)
+        assert self.run(command, scenario_csv, ["--archive", str(archive)], tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{archive}: rows 0 and 1 share an epsilon box or one dominates the other" in err
+
+
 class TestReport:
     def test_writes_plots_and_summary(self, tmp_path, trained):
         out = tmp_path / "report"

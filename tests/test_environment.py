@@ -21,6 +21,7 @@ from chpdispatch.environment import (
     simulate_day,
 )
 from chpdispatch.grid_model import BoilerParams, LB_PER_METRIC_TON, default_config
+from chpdispatch.moea import MoeaConfig, run
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 
 from conftest import (
@@ -452,8 +453,47 @@ class TestBatchEvaluator:
     def test_rejects_wrong_genome_length(self, winter_config, winter_scenarios):
         norm = InputNormalization.from_scenarios(winter_scenarios)
         evaluator = BatchEvaluator(winter_scenarios, winter_config, norm)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected 185 weights, got \(10,\)"):
             evaluator(np.zeros(10))
+
+    @pytest.mark.parametrize("season", ["winter", "summer"])
+    @pytest.mark.parametrize("days", [1, 7, 180])
+    def test_decisions_equal_policy_forward_bit_for_bit(self, season, days):
+        config = default_config(season)
+        scenarios = generate_synthetic(SyntheticSpec(seed=900 + days, days=days, season=season))
+        norm = InputNormalization.from_scenarios(scenarios)
+        evaluator = BatchEvaluator(scenarios, config, norm)
+        k = evaluator.output_dim
+        raw = scenarios.policy_inputs()
+        rng = np.random.default_rng(days)
+        for scale in (0.5, 3.0, 10.0):
+            genome = rng.uniform(-scale, scale, evaluator.genome_length)
+            got = evaluator.decisions(genome)
+            want = PolicyNetwork.decode(genome, 6, 15, k, norm).forward(raw)
+            assert got.shape == want.shape == (days, 24, k)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            # The kernel's unit-first copy reads contiguous memory.
+            assert got.transpose(2, 0, 1).flags.c_contiguous
+
+    def test_training_builds_no_policy_network(self, winter_config, winter_scenarios, monkeypatch):
+        built = []
+        post_init = PolicyNetwork.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PolicyNetwork, "__post_init__", counting)
+        norm = InputNormalization.from_scenarios(winter_scenarios)
+        evaluator = BatchEvaluator(winter_scenarios, winter_config, norm)
+        config = MoeaConfig(
+            genome_length=evaluator.genome_length, epsilons=(10.0, 1.0, 0.01),
+            max_nfe=300, population_size=20,
+        )
+        archive = run(config, evaluator, seed=1)
+        assert len(archive) >= 1
+        assert built == []
 
 
 class TestTraceExport:

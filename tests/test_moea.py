@@ -586,6 +586,41 @@ class TestArchiveCsv:
         write_archive_csv(archive, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "rows, pair",
+        [
+            # row 1 dominates row 0: inserting would drop row 0 and shift row 1 up
+            (["5.0,5.0,5.0,0.0", "1.0,1.0,1.0,0.0", "9.0,0.5,9.0,0.0"], "rows 0 and 1"),
+            # rows 0 and 2 share a box
+            (["1.2,5.0,5.003,0.0", "9.0,0.5,9.0,0.0", "1.7,5.9,5.006,0.0"], "rows 0 and 2"),
+            # a feasible row beats an infeasible one in any box
+            (["1.0,9.0,1.0,0.0", "9.0,1.0,9.0,0.0", "0.0,0.0,0.0,2.0"], "rows 0 and 2"),
+        ],
+    )
+    def test_rows_that_an_archive_cannot_hold_are_rejected_by_number(self, tmp_path, rows, pair):
+        path = tmp_path / "archive.csv"
+        path.write_text(
+            "cost,emission,heat_waste,violation,operator,w0\n"
+            + "".join(f"{row},init,{i}.0\n" for i, row in enumerate(rows))
+        )
+        with pytest.raises(ValueError, match=f"{path}: {pair} share an epsilon box or one"):
+            read_archive_csv(path, EPS3)
+
+    def test_rows_read_in_file_order(self, tmp_path):
+        path = tmp_path / "archive.csv"
+        path.write_text(
+            "cost,emission,heat_waste,violation,operator,w0\n"
+            "9.0,0.5,9.0,0.0,sbx,0.0\n"
+            "5.0,5.0,5.0,0.0,pcx,1.0\n"
+            "0.5,9.0,1.0,0.0,sbx,2.0\n"
+        )
+        archive = read_archive_csv(path, EPS3)
+        assert [m.genome[0] for m in archive.members] == [0.0, 1.0, 2.0]
+        assert archive.operator_counts() == {"sbx": 2, "pcx": 1}
+        assert np.array_equal(
+            archive._keys, np.stack([m.key(EPS3) for m in archive.members], axis=1)
+        )
+
     def test_epsilon_count_mismatch_rejected(self, tmp_path):
         archive = EpsilonArchive(EPS3)
         archive.insert(sol([1.0, 1.0, 0.0]))

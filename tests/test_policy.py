@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chpdispatch.policy import (
     InputNormalization,
     PolicyNetwork,
     load_policy,
+    policy_from_doc,
     save_policy,
     sigmoid,
     weight_count,
@@ -66,6 +68,14 @@ class TestForward:
             g = net.input_gradient(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
             assert np.all(np.isfinite(u)) and np.all(np.isfinite(g))
 
+    def test_returns_c_contiguous_array(self):
+        net = random_net(np.random.default_rng(4))
+        rows = np.random.default_rng(5).uniform(-2.0, 2.0, (3, 24, 6))
+        for obs in (rows, rows[0, 0], rows.transpose(1, 0, 2)):
+            u = net.forward(obs)
+            assert u.shape == obs.shape[:-1] + (5,)
+            assert u.flags.c_contiguous
+
     def test_stable_sigmoid_extremes(self):
         assert sigmoid(np.array([800.0]))[0] == 1.0
         assert sigmoid(np.array([-800.0]))[0] == 0.0
@@ -103,8 +113,15 @@ class TestEncodeDecode:
         assert weight_count(6, 15, 5) == 185
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected 185 weights, got \(184,\)"):
             PolicyNetwork.decode(np.zeros(184), 6, 15, 5, IDENTITY_NORM)
+
+    @pytest.mark.parametrize("index, value", [(3, math.nan), (0, math.inf), (184, -math.inf)])
+    def test_non_finite_weight_rejected_by_index(self, index, value):
+        w = np.zeros(185)
+        w[index] = value
+        with pytest.raises(ValueError, match=rf"weights\[{index}\] must be finite, got {value}"):
+            PolicyNetwork.decode(w, 6, 15, 5, IDENTITY_NORM)
 
     def test_weights_are_immutable(self):
         net = PolicyNetwork.decode(np.zeros(185), 6, 15, 5, IDENTITY_NORM)
@@ -199,6 +216,27 @@ class TestNormalization:
         with pytest.raises(ValueError):
             InputNormalization(offsets=(0.0,), scales=(0.0,))
 
+    @pytest.mark.parametrize(
+        "offsets, scales, message",
+        [
+            ((0.0, math.nan), (1.0, 1.0), "offsets[1] must be finite, got nan"),
+            ((0.0, 0.0), (math.inf, 1.0), "scales[0] must be finite, got inf"),
+            ((0.0, 0.0), (1.0, math.nan), "scales[1] must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_entry_rejected_by_index(self, offsets, scales, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            InputNormalization(offsets=offsets, scales=scales)
+
+
+def sidecar_doc():
+    """The fields of an archive sidecar that a policy is built from."""
+    return {
+        "hidden_dim": 15,
+        "decision_names": [f"u{i}" for i in range(5)],
+        "normalization": {"offsets": [0.0] * 6, "scales": [1.0] * 6},
+    }
+
 
 class TestArtifactIO:
     def test_save_load_round_trip_bit_exact(self, tmp_path):
@@ -218,5 +256,19 @@ class TestArtifactIO:
     def test_malformed_artifact_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"weights": [1, 2, 3]}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed policy artifact"):
             load_policy(path)
+
+    @pytest.mark.parametrize("missing", ["hidden_dim", "normalization", "decision_names"])
+    def test_sidecar_missing_field_is_malformed(self, missing):
+        sidecar = sidecar_doc()
+        del sidecar[missing]
+        with pytest.raises(ValueError, match=f"malformed archive sidecar x.json: '{missing}'"):
+            policy_from_doc(sidecar, "archive sidecar x.json", np.zeros(185))
+
+    def test_sidecar_and_genome_rebuild_the_policy(self):
+        net = random_net(np.random.default_rng(12))
+        rebuilt = policy_from_doc(sidecar_doc(), "archive sidecar", net.encode())
+        assert np.array_equal(rebuilt.weights, net.weights)
+        assert (rebuilt.input_dim, rebuilt.hidden_dim, rebuilt.output_dim) == (6, 15, 5)
+        assert rebuilt.normalization == net.normalization
