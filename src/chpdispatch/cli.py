@@ -56,6 +56,11 @@ from .tvsa import build_report, export_report_csv
 
 OBJECTIVE_NAMES = ("cost", "emission", "heat_waste")
 DEFAULT_EPSILONS = (10.0, 1.0, 0.01)
+#: Sidecar keys that a command reading an archive relies on.
+SIDECAR_KEYS = (
+    "epsilons", "normalization", "microgrid_config", "hidden_dim", "genome_length",
+    "decision_names", "seeds",
+)  # fmt: skip
 
 
 def _digest(path: Path) -> str:
@@ -102,10 +107,21 @@ def _sidecar_path(archive_csv: Path) -> Path:
 
 
 def _load_sidecar(archive_csv: Path) -> dict:
+    """The sidecar of an archive CSV; rejects one that is not a JSON object
+    or lacks a key that ``merge``, ``evaluate``, ``tvsa`` or ``report`` reads."""
     sidecar = _sidecar_path(archive_csv)
     if not sidecar.exists():
         raise FileNotFoundError(f"archive sidecar not found: {sidecar}")
-    return json.loads(sidecar.read_text())
+    try:
+        doc = json.loads(sidecar.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed archive sidecar {sidecar}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed archive sidecar {sidecar}: not a JSON object")
+    for key in SIDECAR_KEYS:
+        if key not in doc:
+            raise ValueError(f"malformed archive sidecar {sidecar}: missing {key!r}")
+    return doc
 
 
 def _parse_epsilons(text: str) -> tuple[float, ...]:

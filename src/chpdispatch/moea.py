@@ -446,8 +446,10 @@ def write_archive_csv(
 
 
 def read_archive_csv(path: str | Path, epsilons: Sequence[float]) -> EpsilonArchive:
-    """The archive a file holds, its rows as members in file order; rejects
-    rows that an archive could not hold together, naming them."""
+    """The archive a file holds, its rows as members in file order.  A row
+    that does not parse, has another number of weights than the header, or
+    holds a non-finite objective is rejected by number, as are rows that an
+    archive could not hold together."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -464,15 +466,25 @@ def read_archive_csv(path: str | Path, epsilons: Sequence[float]) -> EpsilonArch
             raise ValueError(
                 f"{path}: {n_objectives} objectives but {len(epsilons)} epsilons"
             )
-        members = [
-            Solution(
-                genome=np.array([float(x) for x in row[operator_col + 1 :]]),
-                objectives=np.array([float(x) for x in row[:n_objectives]]),
-                violation=float(row[violation_col]),
-                operator_tag=row[operator_col],
-            )
-            for row in reader
-        ]
+        genome_length = len(header) - operator_col - 1
+        members = []
+        for i, row in enumerate(reader):
+            try:
+                if len(row) != len(header):
+                    weights = len(row) - operator_col - 1
+                    if weights < 0:
+                        raise ValueError(f"{len(row)} fields, but the header has {len(header)}")
+                    raise ValueError(f"{weights} weights, but the header has {genome_length}")
+                members.append(
+                    Solution(
+                        genome=np.array([float(x) for x in row[operator_col + 1 :]]),
+                        objectives=np.array([float(x) for x in row[:n_objectives]]),
+                        violation=float(row[violation_col]),
+                        operator_tag=row[operator_col],
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from exc
     try:
         return EpsilonArchive(epsilons, members)
     except ValueError as exc:

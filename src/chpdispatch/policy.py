@@ -11,9 +11,13 @@ then ``b1``, then row-major ``W2`` (output x hidden), then ``b2``.
 :func:`split_genome` slices a genome into these layers, and
 :func:`forward_columns` runs them on normalized inputs held as the columns
 of an (input_dim, N) array; :class:`PolicyNetwork` and
-:class:`.batch.BatchEvaluator` both use the two.  ``forward`` copies its
-result to a C-contiguous (..., output_dim) array, because reductions over a
-strided view, such as the TVSA's variances, sum in another order.
+:class:`.batch.BatchEvaluator` both use the two.  The pass computes in
+place in caller-owned buffers from :func:`forward_workspace`: the
+evaluator keeps one workspace for all its calls, and so takes one call at
+a time, while ``PolicyNetwork.forward`` passes none and gets fresh buffers
+per call.  ``forward`` copies its result to a C-contiguous
+(..., output_dim) array, because reductions over a strided view, such as
+the TVSA's variances, sum in another order.
 """
 
 from __future__ import annotations
@@ -32,10 +36,26 @@ HOUR_SCALE = 23.0
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+    """Numerically stable logistic function, elementwise, into a new array."""
+    z = np.array(z, dtype=float)
+    return _logistic(z, np.empty_like(z))
+
+
+def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Overwrite ``z`` with ``where(z >= 0, 1, e) / (1 + e)``, where
+    ``e = exp(-|z|)`` is computed in the scratch array ``e``; returns ``z``.
+
+    As ``e`` lies in [0, 1], the numerator is ``max(z >= 0, e)``: the same
+    bits as the two-branch form, without a mask.
+    """
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(z, 0.0, out=z)
+    np.maximum(z, e, out=z)
+    e += 1.0
+    z /= e
+    return z
 
 
 @dataclass(frozen=True)
@@ -104,11 +124,33 @@ def split_genome(flat: np.ndarray, input_dim: int, hidden_dim: int, output_dim: 
     return w1, b1, w2, b2
 
 
-def forward_columns(layers, x: np.ndarray) -> np.ndarray:
+def forward_workspace(hidden_dim: int, output_dim: int, n: int):
+    """Buffers for :func:`forward_columns` over ``n`` input columns: the
+    hidden layer (hidden_dim, n), the decisions (output_dim, n), and the
+    logistic's scratch, whose first rows serve both layers."""
+    return (
+        np.empty((hidden_dim, n)),
+        np.empty((output_dim, n)),
+        np.empty((max(hidden_dim, output_dim), n)),
+    )
+
+
+def forward_columns(layers, x: np.ndarray, workspace=None) -> np.ndarray:
     """Decisions (output_dim, N) of the network ``layers`` (from
-    :func:`split_genome`) at normalized inputs ``x`` (input_dim, N)."""
+    :func:`split_genome`) at normalized inputs ``x`` (input_dim, N):
+    ``sigmoid(W2 @ sigmoid(W1 @ x + b1) + b2)``, computed in place in the
+    buffers of a :func:`forward_workspace`, whose decisions buffer it
+    returns.  Without a workspace, the call allocates its own."""
     w1, b1, w2, b2 = layers
-    return sigmoid(w2 @ sigmoid(w1 @ x + b1[:, None]) + b2[:, None])
+    if workspace is None:
+        workspace = forward_workspace(len(b1), len(b2), x.shape[1])
+    hidden, out, e = workspace
+    np.matmul(w1, x, out=hidden)
+    hidden += b1[:, None]
+    _logistic(hidden, e[: len(b1)])
+    np.matmul(w2, hidden, out=out)
+    out += b2[:, None]
+    return _logistic(out, e[: len(b2)])
 
 
 @dataclass(frozen=True)

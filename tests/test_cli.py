@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chpdispatch.cli import main
+from chpdispatch.cli import SIDECAR_KEYS, main
 from chpdispatch.data import SyntheticSpec, generate_synthetic, write_scenarios
 from chpdispatch.grid_model import config_to_dict, default_config, save_config
 from chpdispatch.policy import InputNormalization, PolicyNetwork, save_policy, weight_count
@@ -419,7 +419,7 @@ class TestPolicySourceValidation:
         archive = copy_archive(trained, tmp_path, edit_sidecar=lambda doc: doc.pop(field))
         assert self.run(command, scenario_csv, ["--archive", str(archive)], tmp_path / "o") == 2
         sidecar = archive.with_suffix(".json")
-        assert f"malformed archive sidecar {sidecar}: '{field}'" in capsys.readouterr().err
+        assert f"malformed archive sidecar {sidecar}: missing '{field}'" in capsys.readouterr().err
 
     def test_dominated_archive_row_exits_2_naming_rows(
         self, tmp_path, scenario_csv, trained, capsys, command
@@ -435,6 +435,52 @@ class TestPolicySourceValidation:
         assert self.run(command, scenario_csv, ["--archive", str(archive)], tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert f"{archive}: rows 0 and 1 share an epsilon box or one dominates the other" in err
+
+
+class TestSidecarKeys:
+    """Every command that reads an archive names a sidecar key it lacks."""
+
+    @pytest.mark.parametrize("key", SIDECAR_KEYS)
+    def test_merge_exits_2_naming_missing_key(self, tmp_path, trained, capsys, key):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        first = copy_archive(trained, tmp_path / "a")
+        second = copy_archive(trained, tmp_path / "b", edit_sidecar=lambda doc: doc.pop(key))
+        code = main(["merge", str(first), str(second), "--out", str(tmp_path / "joint")])
+        assert code == 2
+        sidecar = second.with_suffix(".json")
+        assert f"error: malformed archive sidecar {sidecar}: missing '{key}'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "joint.csv").exists()
+
+    @pytest.mark.parametrize("key", SIDECAR_KEYS)
+    def test_evaluate_exits_2_naming_missing_key(
+        self, tmp_path, scenario_csv, trained, capsys, key
+    ):
+        archive = copy_archive(trained, tmp_path, edit_sidecar=lambda doc: doc.pop(key))
+        out = tmp_path / "out"
+        code = main(
+            ["evaluate", "--scenarios", str(scenario_csv), "--archive", str(archive),
+             "--out", str(out)]
+        )  # fmt: skip
+        assert code == 2
+        sidecar = archive.with_suffix(".json")
+        assert f"error: malformed archive sidecar {sidecar}: missing '{key}'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("5", "not a JSON object"), ("{", "Expecting property name enclosed in double quotes")],
+    )
+    def test_report_exits_2_on_unreadable_sidecar(self, tmp_path, trained, capsys, text, message):
+        archive = copy_archive(trained, tmp_path)
+        sidecar = archive.with_suffix(".json")
+        sidecar.write_text(text)
+        assert main(["report", "--archive", str(archive), "--out", str(tmp_path / "r")]) == 2
+        assert f"error: malformed archive sidecar {sidecar}: {message}" in capsys.readouterr().err
 
 
 class TestReport:

@@ -5,6 +5,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +499,107 @@ class TestBatchEvaluator:
         archive = run(config, evaluator, seed=1)
         assert len(archive) >= 1
         assert built == []
+
+
+#: Child process for the page-fault check: 20 forward passes over 180
+#: winter days, after 3 warm-up calls; prints the minor page faults they add.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from chpdispatch.batch import BatchEvaluator
+from chpdispatch.data import SyntheticSpec, generate_synthetic
+from chpdispatch.grid_model import default_config
+from chpdispatch.policy import InputNormalization
+
+days = generate_synthetic(SyntheticSpec(seed=64, days=180))
+evaluator = BatchEvaluator(days, default_config("winter"), InputNormalization.from_scenarios(days))
+genomes = np.random.default_rng(65).uniform(-10.0, 10.0, (23, evaluator.genome_length))
+for genome in genomes[:3]:
+    evaluator(genome)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for genome in genomes[3:]:
+    evaluator.decisions(genome)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestWorkspace:
+    """The forward-pass workspace that an evaluator reuses across calls."""
+
+    @staticmethod
+    def evaluator(days, config, **kwargs):
+        return BatchEvaluator(days, config, InputNormalization.from_scenarios(days), **kwargs)
+
+    def test_interleaved_evaluators_match_fresh_ones(self, winter_config):
+        evaluators = [
+            self.evaluator(generate_synthetic(SyntheticSpec(seed=seed, days=days)), winter_config)
+            for seed, days in ((61, 3), (62, 30))
+        ]
+        rng = np.random.default_rng(63)
+        for genome in rng.uniform(-10.0, 10.0, (6, evaluators[0].genome_length)):
+            for evaluator in evaluators:
+                objectives, violation = evaluator(genome)
+                fresh = self.evaluator(evaluator.days, winter_config)(genome)
+                assert objectives.tobytes() == fresh[0].tobytes()
+                assert violation == fresh[1]
+
+    def test_fewer_hidden_units_than_decisions(self, summer_config, summer_scenarios):
+        norm = InputNormalization.from_scenarios(summer_scenarios)
+        evaluator = BatchEvaluator(summer_scenarios, summer_config, norm, hidden_dim=3)
+        k = evaluator.output_dim
+        assert k > 3
+        raw = summer_scenarios.policy_inputs()
+        for genome in np.random.default_rng(66).uniform(-3.0, 3.0, (3, evaluator.genome_length)):
+            want = PolicyNetwork.decode(genome, 6, 3, k, norm).forward(raw)
+            assert evaluator.decisions(genome).tobytes() == want.tobytes()
+
+    def test_decisions_view_lasts_until_the_next_call(self, winter_config, winter_scenarios):
+        evaluator = self.evaluator(winter_scenarios, winter_config)
+        first, second = np.random.default_rng(67).uniform(-3.0, 3.0, (2, evaluator.genome_length))
+        u = evaluator.decisions(first)
+        kept = u.copy()
+        v = evaluator.decisions(second)
+        assert np.shares_memory(u, v)
+        assert np.array_equal(u, v) and not np.array_equal(u, kept)
+
+    def test_pickle_leaves_the_workspace_out(self, winter_config, winter_scenarios):
+        evaluator = self.evaluator(winter_scenarios, winter_config)
+        genome = np.random.default_rng(68).uniform(-3.0, 3.0, evaluator.genome_length)
+        before = pickle.dumps(evaluator)
+        objectives, violation = evaluator(genome)
+        after = pickle.dumps(evaluator)
+        assert len(after) == len(before)
+        copied = pickle.loads(after)(genome)
+        assert copied[0].tobytes() == objectives.tobytes() and copied[1] == violation
+
+    def test_forward_pass_allocates_nothing_after_the_first_call(self, winter_config):
+        days = generate_synthetic(SyntheticSpec(seed=69, days=180))
+        evaluator = self.evaluator(days, winter_config)
+        genomes = np.random.default_rng(70).uniform(-10.0, 10.0, (5, evaluator.genome_length))
+        evaluator.decisions(genomes[0])
+        tracemalloc.start()
+        try:
+            for genome in genomes[1:]:
+                evaluator.decisions(genome)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Each (15, 4320) hidden-layer array takes 518 400 bytes; numpy's
+        # iterator may take a buffer of up to 64 KiB.
+        assert peak < 100_000
+
+    def test_forward_pass_adds_no_page_faults(self):
+        """In a fresh interpreter, as glibc's malloc returns freed memory to
+        the system only above a threshold that rises after large frees: a
+        process that ran other tests may no longer fault on a per-call
+        allocation."""
+        pytest.importorskip("resource")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        probe = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True,
+            check=True,
+        )  # fmt: skip
+        assert int(probe.stdout) < 100
 
 
 class TestTraceExport:

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from chpdispatch import moea
+from chpdispatch.batch import BatchEvaluator
+from chpdispatch.data import SyntheticSpec, generate_synthetic
+from chpdispatch.grid_model import default_config
 from chpdispatch.moea import (
     Dominance,
     EpsilonArchive,
@@ -22,6 +25,7 @@ from chpdispatch.moea import (
     select_operator,
     write_archive_csv,
 )
+from chpdispatch.policy import InputNormalization
 from chpdispatch.variation import OPERATOR_NAMES
 from chpdispatch.variation import um as moea_um
 
@@ -621,6 +625,33 @@ class TestArchiveCsv:
             archive._keys, np.stack([m.key(EPS3) for m in archive.members], axis=1)
         )
 
+    HEADER = "cost,emission,heat_waste,violation,operator,w0,w1\n"
+
+    def assert_rejects(self, path, rows, message):
+        path.write_text(self.HEADER + "".join(f"{row}\n" for row in rows))
+        with pytest.raises(ValueError) as info:
+            read_archive_csv(path, EPS3)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_non_finite_objective_rejected_by_row(self, tmp_path):
+        rows = ["9.0,0.5,9.0,0.0,sbx,0.0,1.0", "nan,9.0,1.0,0.0,pcx,2.0,3.0"]
+        self.assert_rejects(tmp_path / "a.csv", rows, "row 1: objectives must be finite")
+
+    def test_non_numeric_weight_rejected_by_row(self, tmp_path):
+        rows = ["9.0,0.5,9.0,0.0,sbx,x,1.0"]
+        message = "row 0: could not convert string to float: 'x'"
+        self.assert_rejects(tmp_path / "a.csv", rows, message)
+
+    @pytest.mark.parametrize("weights", ["0.0", "0.0,1.0,2.0"])
+    def test_genome_length_other_than_header_rejected_by_row(self, tmp_path, weights):
+        rows = ["9.0,0.5,9.0,0.0,sbx,0.0,1.0", f"0.5,9.0,1.0,0.0,pcx,{weights}"]
+        message = f"row 1: {len(weights.split(','))} weights, but the header has 2"
+        self.assert_rejects(tmp_path / "a.csv", rows, message)
+
+    def test_row_missing_columns_rejected_by_row(self, tmp_path):
+        message = "row 0: 3 fields, but the header has 7"
+        self.assert_rejects(tmp_path / "a.csv", ["9.0,0.5,9.0"], message)
+
     def test_epsilon_count_mismatch_rejected(self, tmp_path):
         archive = EpsilonArchive(EPS3)
         archive.insert(sol([1.0, 1.0, 0.0]))
@@ -648,9 +679,10 @@ def quantized_constraint(genome):
 
 
 class TestPinnedArchives:
-    """sha256 of two short runs' archive CSVs.  A change to the optimizer's
-    bookkeeping must keep these bytes; one that means to move them must say
-    so and record the new digests."""
+    """sha256 of short runs' archive CSVs: two toy problems, and two studies
+    through :class:`BatchEvaluator`.  A change to the optimizer's bookkeeping
+    or to the evaluator must keep these bytes; one that means to move them
+    must say so and record the new digests."""
 
     def _digest(self, tmp_path, config, evaluator, seed, names):
         path = tmp_path / "archive.csv"
@@ -674,3 +706,28 @@ class TestPinnedArchives:
         )
         assert injected  # restarts happened
         assert digest == "37c4d8f67c55d50f6ab004260206509f9aaf0e333e7fef767636d1e3c1c3e0dc"
+
+    @pytest.mark.parametrize(
+        "season, days, nfe, digest",
+        [
+            (
+                "summer", 7, 1500,
+                "e04af8753a8573f80209ea5c51bea473302ab5920a62f139f71e091f3638c28a",
+            ),
+            # 60 days: each (15, 1440) hidden-layer array is larger than
+            # malloc's 128 KB mmap threshold.
+            (
+                "winter", 60, 400,
+                "2da6f6e138b38161edf378bf6a4847d7d8ff2dcfc1668744aead3016a6a3c376",
+            ),
+        ],
+    )
+    def test_batch_evaluator(self, tmp_path, season, days, nfe, digest):
+        scenarios = generate_synthetic(SyntheticSpec(seed=31, days=days, season=season))
+        evaluator = BatchEvaluator(
+            scenarios, default_config(season), InputNormalization.from_scenarios(scenarios)
+        )
+        config = MoeaConfig(genome_length=evaluator.genome_length, epsilons=EPS3,
+                            max_nfe=nfe, population_size=50)
+        names = ("cost", "emission", "heat_waste")
+        assert self._digest(tmp_path, config, evaluator, 2, names) == digest

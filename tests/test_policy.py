@@ -82,7 +82,7 @@ class TestForward:
         assert np.all(np.isfinite(sigmoid(np.array([-1e6, 0.0, 1e6]))))
 
     def test_sigmoid_matches_two_branch_formula_bit_for_bit(self):
-        edges = [0.0, 1e-300, 36.7, 700.0, np.inf]
+        edges = [0.0, 1e-300, 2.0**-60, 2.0**-53, 1e-17, 36.7, 700.0, np.inf]
         z = np.array(edges + [-e for e in edges])
         rng = np.random.default_rng(8)
         for values in (z, rng.standard_normal((168, 15)) * 8.0):
