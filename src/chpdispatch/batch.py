@@ -14,9 +14,16 @@ evaluator, allocated on the first call and reused by every later one, so
 that an evaluation over a long ensemble allocates no large array: freed
 arrays that large go back to the operating system, and each call would
 page them in again.
+
+The optimizer hands the evaluator a genome it has evaluated before, bit for
+bit, for a few to a quarter of its budget (chiefly uniform-mutation children
+in which no gene was resampled).  So each evaluator keeps the results of its
+last :data:`MEMO_SIZE` distinct genomes and answers a repeat from them.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -30,6 +37,12 @@ from .policy import (
     weight_count,
 )
 
+#: Distinct genomes whose results an evaluator keeps, least recently used
+#: out first.  On the benchmark's 7-day summer inputs (seeds 1-10), 256
+#: entries catch 84-96 % of the repeats in about 0.5 MB; 512 catch 97-99 %
+#: for twice the memory.
+MEMO_SIZE = 256
+
 
 class BatchEvaluator:
     """Callable mapping a flat weight genome to (objectives, violation).
@@ -37,7 +50,14 @@ class BatchEvaluator:
     Precomputes the normalized policy inputs once; each call then costs
     two matmuls plus the kernel's elementwise work, in a forward-pass
     workspace that the instance keeps between calls.  So an instance takes
-    one call at a time.  The workspace is not pickled: each process that
+    one call at a time.
+
+    The evaluation is a pure function of the genome's bits, so the instance
+    memoizes it: a least-recently-used map of :data:`MEMO_SIZE` entries,
+    keyed by the genome's float64 bytes, answers a repeated genome with a
+    fresh copy of the stored objectives and the same violation.  A genome
+    that differs in any bit, -0.0 against 0.0 included, is evaluated afresh.
+    Neither the workspace nor the memo is pickled: each process that
     receives a copy, such as a ``--workers`` process, builds its own.
     """
 
@@ -57,9 +77,10 @@ class BatchEvaluator:
         self.days = scenarios
         self.inputs = normalization.columns(scenarios.policy_inputs())
         self._workspace = None
+        self._memo: OrderedDict[bytes, tuple[np.ndarray, float]] = OrderedDict()
 
     def __getstate__(self) -> dict:
-        return {**self.__dict__, "_workspace": None}
+        return {**self.__dict__, "_workspace": None, "_memo": OrderedDict()}
 
     @property
     def genome_length(self) -> int:
@@ -81,6 +102,18 @@ class BatchEvaluator:
         return u.reshape(self.output_dim, len(self.days), HOURS_PER_DAY).transpose(1, 2, 0)
 
     def __call__(self, genome: np.ndarray) -> tuple[np.ndarray, float]:
+        genome = np.asarray(genome, dtype=float)
+        key = genome.tobytes()
+        # Every stored key came from a valid 1-D genome, so a 1-D hit has
+        # the right length; any other shape goes on to be rejected.
+        hit = self._memo.get(key)
+        if hit is not None and genome.ndim == 1:
+            self._memo.move_to_end(key)
+            return hit[0].copy(), hit[1]
         trace = dispatch(self.decisions(genome), self.days, self.config)
         objectives, violation = day_objectives(trace)
-        return objectives.mean(axis=1), float(violation.mean())
+        objectives, violation = objectives.mean(axis=1), float(violation.mean())
+        self._memo[key] = (objectives.copy(), violation)
+        if len(self._memo) > MEMO_SIZE:
+            self._memo.popitem(last=False)
+        return objectives, violation

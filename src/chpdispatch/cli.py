@@ -244,7 +244,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     doc = dict(sidecars[0])
     doc["seeds"] = sorted({s for sc in sidecars for s in sc["seeds"]})
     doc["nfe"] = sum(sc["nfe"] for sc in sidecars if sc.get("nfe"))
-    doc["merged_from"] = [str(p) for p in paths]
+    # Relative to the merged archive, so that its sidecar's bytes do not
+    # depend on where the archives lie or how they were named.
+    doc["merged_from"] = [
+        Path(os.path.relpath(p.resolve(), csv_path.parent.resolve())).as_posix() for p in paths
+    ]
     _write_json(_sidecar_path(csv_path), doc)
     _write_manifest(
         out.with_suffix(".manifest.json"),

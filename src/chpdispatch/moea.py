@@ -264,7 +264,12 @@ def select_operator(rng: np.random.Generator, archive: EpsilonArchive) -> str:
         [counts.get(name, 0) + 1 for name in OPERATOR_NAMES], dtype=float
     )
     probs = weights / weights.sum()
-    return OPERATOR_NAMES[int(rng.choice(len(OPERATOR_NAMES), p=probs))]
+    # The draw of ``rng.choice(len(OPERATOR_NAMES), p=probs)``, without its
+    # argument checks: one uniform against the renormalized cumulative
+    # probabilities.  A test pins the two to the same draws.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return OPERATOR_NAMES[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 @dataclass(frozen=True)

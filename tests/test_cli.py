@@ -166,6 +166,31 @@ class TestMerge:
         sidecar = json.loads(merged.with_suffix(".json").read_text())
         assert sidecar["seeds"] == [1, 2]
 
+    def test_sidecar_bytes_do_not_depend_on_how_archives_are_named(
+        self, tmp_path, scenario_csv, monkeypatch
+    ):
+        out = tmp_path / "runs" / "multi"
+        assert main(
+            [
+                "train", "--scenarios", str(scenario_csv),
+                "--nfe", "300", "--seed", "1", "--seed", "2",
+                "--out", str(out),
+            ]
+        ) == 0
+        names = ["multi_seed1.csv", "multi_seed2.csv"]
+        merged = tmp_path / "merged" / "joint"
+        assert main(["merge", *(str(out.with_name(n)) for n in names), "--out", str(merged)]) == 0
+        by_absolute = merged.with_suffix(".json").read_bytes()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(
+            ["merge", *(f"../runs/{n}" for n in names), "--out", "../merged/joint"]
+        ) == 0
+        assert merged.with_suffix(".json").read_bytes() == by_absolute
+        sidecar = json.loads(by_absolute)
+        assert sidecar["merged_from"] == [f"../runs/{n}" for n in names]
+
     def test_worker_pool_matches_sequential(self, tmp_path, scenario_csv):
         outs = {}
         for name, extra in (("seq", []), ("par", ["--workers", "2"])):

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chpdispatch import batch
 from chpdispatch.batch import BatchEvaluator
 from chpdispatch.data import SyntheticSpec, generate_synthetic
 from chpdispatch.environment import (
@@ -506,6 +507,7 @@ class TestBatchEvaluator:
 FAULT_PROBE = """
 import resource
 import numpy as np
+from chpdispatch import batch
 from chpdispatch.batch import BatchEvaluator
 from chpdispatch.data import SyntheticSpec, generate_synthetic
 from chpdispatch.grid_model import default_config
@@ -567,6 +569,7 @@ class TestWorkspace:
         genome = np.random.default_rng(68).uniform(-3.0, 3.0, evaluator.genome_length)
         before = pickle.dumps(evaluator)
         objectives, violation = evaluator(genome)
+        evaluator(genome)  # a hit in the memo, which the pickle leaves out too
         after = pickle.dumps(evaluator)
         assert len(after) == len(before)
         copied = pickle.loads(after)(genome)
@@ -600,6 +603,118 @@ class TestWorkspace:
             check=True,
         )  # fmt: skip
         assert int(probe.stdout) < 100
+
+
+class TestMemo:
+    """The evaluator's memo of recent genomes: a repeat is answered without
+    a dispatch, with the bits a fresh evaluator would return."""
+
+    evaluator = staticmethod(TestWorkspace.evaluator)
+
+    @pytest.fixture
+    def dispatches(self, monkeypatch):
+        """How many genomes the evaluators have dispatched."""
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return dispatch(*args)
+
+        monkeypatch.setattr(batch, "dispatch", counted)
+        return count
+
+    def test_hits_along_a_run_match_a_fresh_evaluator(self, summer_config, dispatches):
+        days = generate_synthetic(SyntheticSpec(seed=31, days=7, season="summer"))
+        evaluator = self.evaluator(days, summer_config)
+        hits = 0
+
+        def checked(genome):
+            nonlocal hits
+            before = dispatches[0]
+            objectives, violation = evaluator(genome)
+            if dispatches[0] == before:
+                hits += 1
+                fresh = self.evaluator(days, summer_config)(genome)
+                assert objectives.tobytes() == fresh[0].tobytes()
+                assert type(violation) is float and violation == fresh[1]
+            return objectives, violation
+
+        config = MoeaConfig(genome_length=evaluator.genome_length, epsilons=(10.0, 1.0, 0.01),
+                            max_nfe=1500, population_size=50)
+        run(config, checked, seed=2)
+        assert hits > 0
+
+    def test_returned_objectives_are_copies(self, winter_config, winter_scenarios):
+        evaluator = self.evaluator(winter_scenarios, winter_config)
+        genome = np.random.default_rng(71).uniform(-3.0, 3.0, evaluator.genome_length)
+        first, _ = evaluator(genome)
+        kept = first.copy()
+        first[:] = np.nan
+        second, _ = evaluator(genome)
+        assert second.tobytes() == kept.tobytes()
+        second[:] = np.nan
+        assert evaluator(genome)[0].tobytes() == kept.tobytes()
+
+    def test_bounded_and_least_recently_used_out_first(
+        self, winter_config, winter_scenarios, dispatches
+    ):
+        evaluator = self.evaluator(winter_scenarios, winter_config)
+        genomes = np.random.default_rng(72).uniform(
+            -3.0, 3.0, (batch.MEMO_SIZE + 1, evaluator.genome_length)
+        )
+        for genome in genomes[: batch.MEMO_SIZE]:
+            evaluator(genome)
+        evaluator(genomes[0])  # a hit: genomes[1] is now the least recent
+        assert dispatches[0] == batch.MEMO_SIZE
+        evaluator(genomes[-1])
+        assert len(evaluator._memo) == batch.MEMO_SIZE
+        for genome in (genomes[0], *genomes[2:]):
+            evaluator(genome)
+        assert dispatches[0] == batch.MEMO_SIZE + 1
+        evaluator(genomes[1])
+        assert dispatches[0] == batch.MEMO_SIZE + 2
+        assert len(evaluator._memo) == batch.MEMO_SIZE
+
+    def test_any_other_bit_is_evaluated_afresh(self, winter_config, winter_scenarios, dispatches):
+        evaluator = self.evaluator(winter_scenarios, winter_config)
+        genome = np.random.default_rng(73).uniform(-3.0, 3.0, evaluator.genome_length)
+        genome[5] = 0.0
+        evaluator(genome)
+        one_ulp = genome.copy()
+        one_ulp[0] = np.nextafter(one_ulp[0], np.inf)
+        negative_zero = genome.copy()
+        negative_zero[5] = -0.0
+        for other in (one_ulp, negative_zero):
+            before = dispatches[0]
+            objectives, violation = evaluator(other)
+            assert dispatches[0] == before + 1
+            fresh = self.evaluator(winter_scenarios, winter_config)(other)
+            assert objectives.tobytes() == fresh[0].tobytes() and violation == fresh[1]
+
+    def test_a_hit_keeps_the_genome_length_check(self, winter_config, winter_scenarios):
+        evaluator = self.evaluator(winter_scenarios, winter_config)
+        genome = np.random.default_rng(74).uniform(-3.0, 3.0, evaluator.genome_length)
+        evaluator(genome)
+        with pytest.raises(ValueError, match="expected 185 weights"):
+            evaluator(genome.reshape(5, 37))
+
+    def test_run_calls_the_evaluator_once_per_evaluation(
+        self, summer_config, summer_scenarios, dispatches, monkeypatch
+    ):
+        calls = [0]
+        call = BatchEvaluator.__call__
+
+        def counted(self, genome):
+            calls[0] += 1
+            return call(self, genome)
+
+        monkeypatch.setattr(BatchEvaluator, "__call__", counted)
+        evaluator = self.evaluator(summer_scenarios, summer_config)
+        config = MoeaConfig(genome_length=evaluator.genome_length, epsilons=(10.0, 1.0, 0.01),
+                            max_nfe=800, population_size=30)
+        run(config, evaluator, seed=3)
+        assert calls[0] == 800
+        assert dispatches[0] < 800  # the memo answered some of them
 
 
 class TestTraceExport:

@@ -469,6 +469,29 @@ class TestSelectOperator:
             sigma = np.sqrt(p * (1 - p) / draws)
             assert abs(counts[name] / draws - p) < 3 * sigma + 1e-12
 
+    def test_draws_as_generator_choice(self):
+        """The same draws as ``rng.choice(6, p=probs)``, which it replaces:
+        a numpy that changes ``Generator.choice`` fails here."""
+
+        class Counts:
+            def __init__(self, counts):
+                self.counts = dict(zip(OPERATOR_NAMES, counts))
+
+            def operator_counts(self):
+                return self.counts
+
+        vectors = np.random.default_rng(5)
+        for seed in range(300):
+            high = (1, 5, 50, 5000)[seed % 4]
+            archive = Counts(vectors.integers(0, high, len(OPERATOR_NAMES)).tolist())
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            weights = np.array([c + 1 for c in archive.counts.values()], dtype=float)
+            probs = weights / weights.sum()
+            for _ in range(50):
+                want = OPERATOR_NAMES[int(theirs.choice(len(OPERATOR_NAMES), p=probs))]
+                assert select_operator(ours, archive) == want
+            assert ours.random() == theirs.random()
+
 
 def sphereish(genome):
     """Cheap 3-objective test problem with no constraints."""

@@ -12,8 +12,13 @@ left out: they hold a wall-clock field and absolute paths.
 
 Run it on two checkouts and ``diff`` the outputs to show that a change
 keeps every archive, sidecar, objective file, trace, TVSA table and SVG
-byte-identical.  ``--work DIR`` keeps the outputs in DIR; by default they
-go to a temporary directory that is removed afterwards.
+byte-identical.  ``byte_identity.sha256`` next to this script holds the
+listing with numpy 2.4.6, and CI diffs a fresh listing against it:
+
+    python3 tools/byte_identity.py | diff tools/byte_identity.sha256 -
+
+``--work DIR`` keeps the outputs in DIR; by default they go to a temporary
+directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -130,7 +135,8 @@ def main() -> int:
         else:
             work = Path(args.work)
             work.mkdir(parents=True, exist_ok=True)
-        # Relative paths: a merged sidecar records the paths it came from.
+        # Paths relative to the work directory, so that the listing reads
+        # the same wherever the outputs go.
         stack.enter_context(contextlib.chdir(work))
         run_all(Path())
         for path in sorted(Path().rglob("*")):
