@@ -134,6 +134,16 @@ def _parse_epsilons(text: str) -> tuple[float, ...]:
     return validate_epsilons(values)
 
 
+def _parse_reference(text: str) -> list[float]:
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 3 or not np.all(np.isfinite(values)):
+        raise ValueError(f"--reference must be three finite numbers, got {text!r}")
+    return values
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     scenarios_path = Path(args.scenarios)
@@ -395,11 +405,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     members = archive.members
     if not members:
         raise ValueError(f"{archive_path}: archive is empty")
-    reference = None
-    if args.reference is not None:
-        reference = [float(x) for x in args.reference.split(",")]
-        if len(reference) != 3:
-            raise ValueError("reference point needs exactly three values")
+    reference = None if args.reference is None else _parse_reference(args.reference)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

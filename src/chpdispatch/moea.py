@@ -13,7 +13,9 @@ followed by its float64 box; :func:`_dominance` compares one key with a
 (1 + m, n) matrix of keys in a few array operations, and
 :func:`eps_dominates` is its one-row case.  The population and the archive
 each hold their members' keys as the columns of one matrix, in member
-order, and update one column per replacement or insert.
+order, and update one column per replacement or insert.  These matrices
+are the only place a key lives: a solution carries no epsilon state, and
+tournaments compare columns of the population's matrix.
 
 Each offspring comes from one of six real-coded operators chosen with
 probability proportional to (archive members produced by that operator + 1),
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,14 +49,6 @@ from .variation import (
     um,
     vary,
 )
-
-
-class Objectives(NamedTuple):
-    """The dispatch problem's objective triple (all minimized)."""
-
-    cost: float  # $/day
-    emission: float  # metric tonnes/day
-    heat_waste: float  # expected daily indicator sum
 
 
 class Dominance(Enum):
@@ -82,9 +76,6 @@ class Solution:
     objectives: np.ndarray
     violation: float
     operator_tag: str
-    _key: tuple[tuple[float, ...], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.violation) and self.violation >= 0.0):
@@ -95,21 +86,6 @@ class Solution:
     @property
     def feasible(self) -> bool:
         return self.violation == 0.0
-
-    def key(self, epsilons: Sequence[float]) -> np.ndarray:
-        """[violation, *box_index(objectives)] as float64, what
-        :func:`_dominance` compares; kept for the last epsilon vector asked
-        about.  Float64 holds each box exactly, since it is the floor of a
-        float64 quotient (an int64 box would overflow above 9.2e18)."""
-        eps = tuple(epsilons)
-        cached = self._key
-        if cached is None or cached[0] != eps:
-            key = np.array((self.violation, *box_index(self.objectives, eps)), dtype=float)
-            cached = self._key = (eps, key)
-        return cached[1]
-
-    def box(self, epsilons: Sequence[float]) -> tuple[int, ...]:
-        return box_index(self.objectives, epsilons)
 
 
 def box_index(objectives: Sequence[float], epsilons: Sequence[float]) -> tuple[int, ...]:
@@ -131,6 +107,16 @@ def corner_distance(objectives: Sequence[float], epsilons: Sequence[float]) -> f
     return math.sqrt(total)
 
 
+def _key(solution: Solution, epsilons: Sequence[float]) -> np.ndarray:
+    """[violation, *box_index(objectives)] as float64, what
+    :func:`_dominance` compares.  Float64 holds each box exactly, since it
+    is the floor of a float64 quotient (an int64 box would overflow above
+    9.2e18)."""
+    return np.array(
+        (solution.violation, *box_index(solution.objectives, epsilons)), dtype=float
+    )
+
+
 def _dominance(key: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Constrained epsilon-box domination of one solution's key against
     others': the lower violation wins, and equal violations compare boxes.
@@ -149,7 +135,7 @@ def _dominance(key: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def eps_dominates(a: Solution, b: Solution, epsilons: Sequence[float]) -> Dominance:
     """:func:`_dominance` of one pair."""
-    best, worst = _dominance(a.key(epsilons), b.key(epsilons))
+    best, worst = _dominance(_key(a, epsilons), _key(b, epsilons))
     score = best + worst
     if score > 0.0:
         return Dominance.A_DOMINATES
@@ -177,7 +163,7 @@ class EpsilonArchive:
         self._members = list(members)
         self._keys = np.empty((1 + len(self._eps), len(members)))
         for i, m in enumerate(members):
-            self._keys[:, i] = m.key(self._eps)
+            self._keys[:, i] = _key(m, self._eps)
         # Each row against the rows after it, so memory stays linear in n.
         for i in range(len(members) - 1):
             best, worst = _dominance(self._keys[:, i : i + 1], self._keys[:, i + 1 :])
@@ -208,7 +194,7 @@ class EpsilonArchive:
 
     def insert(self, candidate: Solution) -> tuple[bool, bool]:
         eps = self._eps
-        key = candidate.key(eps)[:, None]
+        key = _key(candidate, eps)[:, None]
         best, worst = _dominance(key, self._keys)
         score = best + worst
         if (score < 0.0).any():
@@ -301,8 +287,8 @@ class MoeaConfig:
             raise ValueError("max_nfe must be at least the population size")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        if self.bound <= 0.0:
-            raise ValueError("bound must be > 0")
+        if not (math.isfinite(self.bound) and self.bound > 0.0):
+            raise ValueError(f"bound must be finite and > 0, got {self.bound}")
         if not 0.0 < self.injection_ratio <= 1.0:
             raise ValueError("injection_ratio must be in (0, 1]")
         if self.tournament_size < 1:
@@ -314,30 +300,28 @@ class MoeaConfig:
 Evaluator = Callable[[np.ndarray], tuple[Sequence[float], float]]
 
 
-def _tournament(
-    rng: np.random.Generator,
-    population: list[Solution],
-    epsilons: tuple[float, ...],
-    size: int,
-) -> Solution:
-    best = population[int(rng.integers(len(population)))]
-    for _ in range(size - 1):
-        challenger = population[int(rng.integers(len(population)))]
-        outcome = eps_dominates(challenger, best, epsilons)
-        if outcome is Dominance.A_DOMINATES:
-            best = challenger
-        elif outcome is not Dominance.B_DOMINATES and rng.random() < 0.5:
-            best = challenger
-    return best
-
-
 class _Population:
     """The working population: its solutions, with their keys as the
     columns of one matrix."""
 
     def __init__(self, members: list[Solution], epsilons: tuple[float, ...]):
         self.members = members
-        self.keys = np.stack([m.key(epsilons) for m in members], axis=1)
+        self.keys = np.stack([_key(m, epsilons) for m in members], axis=1)
+
+
+def _tournament(rng: np.random.Generator, population: _Population, size: int) -> Solution:
+    """The member left after ``size`` draws: a challenger replaces the
+    incumbent if it dominates it, keeps out if the incumbent dominates it,
+    and otherwise wins on a fair coin."""
+    keys = population.keys
+    winner = int(rng.integers(len(population.members)))
+    for _ in range(size - 1):
+        challenger = int(rng.integers(len(population.members)))
+        best, worst = _dominance(keys[:, challenger], keys[:, winner])
+        score = best + worst
+        if score > 0.0 or (score == 0.0 and rng.random() < 0.5):
+            winner = challenger
+    return population.members[winner]
 
 
 def _replace_in_population(
@@ -348,7 +332,7 @@ def _replace_in_population(
 ) -> int:
     """Put the child in place of a random member it dominates, or of a
     random member when it dominates none; returns the member's index."""
-    key = child.key(epsilons)
+    key = _key(child, epsilons)
     best, worst = _dominance(key[:, None], population.keys)
     dominated = np.flatnonzero(best + worst > 0.0)
     if len(dominated):
@@ -396,7 +380,7 @@ def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
     while nfe < config.max_nfe:
         name = select_operator(rng, archive)
         parents = [
-            _tournament(rng, population.members, eps, config.tournament_size).genome
+            _tournament(rng, population, config.tournament_size).genome
             for _ in range(OPERATOR_ARITY[name])
         ]
         child = evaluate(vary(rng, name, parents, config.bound, config.variation), name)

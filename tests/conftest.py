@@ -13,6 +13,15 @@ from chpdispatch.grid_model import MicrogridConfig, default_config
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 
 
+#: The numpy the sha256 pins in these tests and ``tools/byte_identity.sha256``
+#: were computed with; another numpy may draw or round differently.
+PINNED_NUMPY = "2.4.6"
+
+
+def pytest_report_header(config) -> str:
+    return f"numpy {np.__version__} (the sha256 pins were computed with numpy {PINNED_NUMPY})"
+
+
 @pytest.fixture(scope="session")
 def winter_config() -> MicrogridConfig:
     return default_config("winter")

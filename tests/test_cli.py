@@ -113,6 +113,21 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_non_finite_bound_exits_2_naming_it(self, tmp_path, scenario_csv, capsys, bound):
+        code = main(
+            [
+                "train",
+                "--scenarios", str(scenario_csv),
+                "--bound", bound,
+                "--nfe", "100",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 2
+        assert f"bound must be finite and > 0, got {bound}" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_reads_inputs_once(self, tmp_path, scenario_csv, monkeypatch):
         import chpdispatch.cli as cli
         from chpdispatch.batch import BatchEvaluator
@@ -345,11 +360,6 @@ class TestEvaluate:
         assert code == 2
         assert "outputs" in capsys.readouterr().err
 
-    def test_requires_exactly_one_source(self, tmp_path, scenario_csv):
-        assert main(
-            ["evaluate", "--scenarios", str(scenario_csv), "--out", str(tmp_path / "o")]
-        ) == 2
-
 
 class TestTvsaCommand:
     def test_writes_csv_and_svgs(self, tmp_path, scenario_csv, trained):
@@ -400,6 +410,20 @@ def copy_archive(trained, directory, edit_rows=None, edit_sidecar=None):
 class TestPolicySourceValidation:
     def run(self, command, scenario_csv, source, out):
         return main([command, "--scenarios", str(scenario_csv), *source, "--out", str(out)])
+
+    @pytest.mark.parametrize("sources", ["both", "neither"])
+    def test_needs_exactly_one_source(
+        self, tmp_path, scenario_csv, trained, capsys, command, sources
+    ):
+        """Both sources or neither: exit 2 before any input is read."""
+        artifact = tmp_path / "policy.json"
+        norm = InputNormalization(offsets=(0.0,) * 6, scales=(1.0,) * 6)
+        save_policy(PolicyNetwork.decode(np.zeros(185), 6, 15, 5, norm), artifact)
+        given = ["--archive", str(trained), "--policy", str(artifact)] if sources == "both" else []
+        out = tmp_path / "out"
+        assert self.run(command, scenario_csv, given, out) == 2
+        assert "provide exactly one of --archive or --policy" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_artifact_weight_exits_2_naming_it(
         self, tmp_path, scenario_csv, capsys, command
@@ -527,6 +551,17 @@ class TestReport:
                 ]
             ) == 0
         assert (a / "pareto.svg").read_bytes() == (b / "pareto.svg").read_bytes()
+
+    @pytest.mark.parametrize("reference", ["nan,1,1", "33000,inf,24", "a,b,c", "1,2"])
+    def test_bad_reference_exits_2_naming_it(self, tmp_path, trained, capsys, reference):
+        out = tmp_path / "r"
+        code = main(
+            ["report", "--archive", str(trained), "--out", str(out), "--reference", reference]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--reference must be three finite numbers, got {reference!r}" in err
+        assert not (out / "pareto.svg").exists()
 
     def test_missing_archive_exits_2(self, tmp_path):
         assert main(

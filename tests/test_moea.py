@@ -358,7 +358,7 @@ class TestReplacementMatchesReferenceRule:
         for _ in range(400):
             child = draw(seen)
             seen.append(child)
-            best, worst = moea._dominance(child.key(eps)[:, None], population.keys)
+            best, worst = moea._dominance(moea._key(child, eps)[:, None], population.keys)
             want = [i for i, m in enumerate(reference) if _reference_dominates(child, m, eps)]
             assert list(np.flatnonzero(best + worst > 0.0)) == want
             index = moea._replace_in_population(ours, population, child, eps)
@@ -370,12 +370,68 @@ class TestReplacementMatchesReferenceRule:
             assert index == expected
             assert all(a is b for a, b in zip(population.members, reference))
             assert np.array_equal(
-                population.keys, np.stack([m.key(eps) for m in reference], axis=1)
+                population.keys, np.stack([moea._key(m, eps) for m in reference], axis=1)
             )
         assert any(m.objectives.min() < 0.0 for m in seen)
         if scale > 1.0:
             # boxes beyond the int64 range still compare exactly
-            assert max(abs(b) for m in seen for b in m.box(eps)) > 2**63
+            assert max(abs(b) for m in seen for b in box_index(m.objectives, eps)) > 2**63
+
+
+def _pair_tournament(rng, members, eps, size, outcomes):
+    """The tournament as a loop of :func:`eps_dominates` calls over
+    solutions, as it was written before it read the key matrix; counts
+    each comparison's outcome in ``outcomes``."""
+    best = members[int(rng.integers(len(members)))]
+    for _ in range(size - 1):
+        challenger = members[int(rng.integers(len(members)))]
+        outcome = eps_dominates(challenger, best, eps)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if outcome is Dominance.A_DOMINATES:
+            best = challenger
+        elif outcome is not Dominance.B_DOMINATES and rng.random() < 0.5:
+            best = challenger
+    return best
+
+
+class TestTournamentMatchesPairRule:
+    """The tournament over the population's key matrix picks the same
+    winner with the same draws as the pairwise rule over solutions."""
+
+    def test_same_winner_and_generator_state(self):
+        eps = (1.0, 0.5, 0.25)
+        shapes = np.random.default_rng(23)
+        outcomes: dict[Dominance, int] = {}
+        for seed in range(200):
+            members: list[Solution] = []
+            for _ in range(int(shapes.integers(2, 12))):
+                pick = shapes.random()
+                if members and pick < 0.25:
+                    # an earlier member's box, at its corner or inside it
+                    base = members[int(shapes.integers(len(members)))]
+                    objectives = np.floor(base.objectives / eps) * eps
+                    if shapes.random() < 0.5:
+                        objectives = objectives + shapes.uniform(0.0, 1.0, 3) * eps
+                elif pick < 0.5:
+                    # exactly on a box edge (epsilons are powers of two)
+                    objectives = shapes.integers(-3, 3, 3) * np.asarray(eps)
+                else:
+                    objectives = shapes.uniform(-2.0, 2.0, 3)
+                if shapes.random() < 0.5:
+                    violation = 0.0
+                elif shapes.random() < 0.6:
+                    violation = float(shapes.choice([0.25, 0.5]))
+                else:
+                    violation = float(shapes.uniform(0.0, 1.0))
+                members.append(sol(objectives, violation=violation))
+            population = moea._Population(list(members), eps)
+            size = seed % 4 + 1
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                want = _pair_tournament(theirs, members, eps, size, outcomes)
+                assert moea._tournament(ours, population, size) is want
+                assert ours.bit_generator.state == theirs.bit_generator.state
+        assert set(outcomes) == set(Dominance)
 
 
 class TestBoxFollowsEpsilons:
@@ -386,8 +442,8 @@ class TestBoxFollowsEpsilons:
         for _ in range(2):
             assert eps_dominates(a, b, EPS3) is Dominance.NEITHER
             assert eps_dominates(a, b, coarse) is Dominance.B_DOMINATES
-            assert a.box(EPS3) == box_index(a.objectives, EPS3) == (10, 10, 10)
-            assert a.box(coarse) == box_index(a.objectives, coarse) == (2, 2, 0)
+            assert tuple(moea._key(a, EPS3)[1:]) == box_index(a.objectives, EPS3) == (10, 10, 10)
+            assert tuple(moea._key(a, coarse)[1:]) == box_index(a.objectives, coarse) == (2, 2, 0)
 
     def test_interleaved_archives(self):
         a = sol([100.0, 10.0, 0.10])
@@ -584,6 +640,11 @@ class TestRun:
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=100, **{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("-inf"), float("nan")])
+    def test_bound_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match=f"bound must be finite and > 0, got {value}"):
+            MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=100, bound=value)
+
     def test_wrong_epsilon_count_rejected_by_run(self):
         config = MoeaConfig(genome_length=4, epsilons=(0.5,), max_nfe=20, population_size=10)
         with pytest.raises(ValueError, match="1 epsilons for 3 objectives"):
@@ -645,7 +706,7 @@ class TestArchiveCsv:
         assert [m.genome[0] for m in archive.members] == [0.0, 1.0, 2.0]
         assert archive.operator_counts() == {"sbx": 2, "pcx": 1}
         assert np.array_equal(
-            archive._keys, np.stack([m.key(EPS3) for m in archive.members], axis=1)
+            archive._keys, np.stack([moea._key(m, EPS3) for m in archive.members], axis=1)
         )
 
     HEADER = "cost,emission,heat_waste,violation,operator,w0,w1\n"

@@ -53,6 +53,9 @@ from chpdispatch.policy import (  # noqa: E402
     weight_count,
 )
 
+#: The numpy ``byte_identity.sha256`` was computed with.
+PINNED_NUMPY = "2.4.6"
+
 #: (name, season, days, data seed, train seeds, NFE, most archive rows analyzed)
 STUDIES = (
     ("winter7", "winter", 7, 7, (1, 2), 3000, 3),
@@ -129,6 +132,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--work", default=None, help="keep the outputs in this directory")
     args = parser.parse_args()
+    if np.__version__ != PINNED_NUMPY:
+        print(
+            f"note: numpy {np.__version__}, but byte_identity.sha256 was computed"
+            f" with numpy {PINNED_NUMPY}; digests may differ for that reason alone",
+            file=sys.stderr,
+        )
     with contextlib.ExitStack() as stack:
         if args.work is None:
             work = Path(stack.enter_context(tempfile.TemporaryDirectory()))
