@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .grid_model import (
     load_config,
 )
 from .moea import (
+    EpsilonArchive,
     MoeaConfig,
     merge_archives,
     read_archive_csv,
@@ -63,12 +65,26 @@ SIDECAR_KEYS = (
 )  # fmt: skip
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_text(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8; returns the sha256 of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return _sha256(data)
+
+
+def _write_json(path: Path, doc: dict) -> str:
+    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_archive(archive: EpsilonArchive, path: Path) -> str:
+    """Write an archive CSV; returns its sha256, read back from the file
+    that :func:`write_archive_csv` writes row by row."""
+    write_archive_csv(archive, path, OBJECTIVE_NAMES)
+    return _sha256(path.read_bytes())
 
 
 def _write_manifest(
@@ -76,9 +92,11 @@ def _write_manifest(
     command: str,
     arguments: dict,
     inputs: Sequence[Path],
-    outputs: Sequence[Path],
+    outputs: Mapping[Path, str],
     started: float,
 ) -> None:
+    """The manifest of one command: inputs are hashed from disk, outputs
+    arrive with the sha256 of the bytes the command wrote."""
     _write_json(
         path,
         {
@@ -86,8 +104,8 @@ def _write_manifest(
             "version": __version__,
             "command": command,
             "arguments": arguments,
-            "input_digests": {str(p): _digest(Path(p)) for p in inputs},
-            "output_digests": {str(p): _digest(Path(p)) for p in outputs},
+            "input_digests": {str(p): _sha256(Path(p).read_bytes()) for p in inputs},
+            "output_digests": {str(p): digest for p, digest in outputs.items()},
             "wall_clock_s": round(time.monotonic() - started, 3),
         },
     )
@@ -173,16 +191,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
+    outputs: dict[Path, str] = {}
     for seed, archive in zip(seeds, archives):
         stem = out if len(seeds) == 1 else out.with_name(f"{out.name}_seed{seed}")
         csv_path = stem.with_suffix(".csv")
-        write_archive_csv(archive, csv_path, OBJECTIVE_NAMES)
-        _write_json(
+        outputs[csv_path] = _write_archive(archive, csv_path)
+        outputs[_sidecar_path(csv_path)] = _write_json(
             _sidecar_path(csv_path),
             _sidecar_doc(config, normalization, evaluator, epsilons, [seed], args),
         )
-        outputs += [csv_path, _sidecar_path(csv_path)]
         feasible = sum(1 for m in archive if m.feasible)
         print(f"seed {seed}: archive size {len(archive)}, feasible {feasible}")
     _write_manifest(
@@ -250,7 +267,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out.with_suffix(".csv")
-    write_archive_csv(merged, csv_path, OBJECTIVE_NAMES)
+    outputs = {csv_path: _write_archive(merged, csv_path)}
     doc = dict(sidecars[0])
     doc["seeds"] = sorted({s for sc in sidecars for s in sc["seeds"]})
     doc["nfe"] = sum(sc["nfe"] for sc in sidecars if sc.get("nfe"))
@@ -259,13 +276,13 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     doc["merged_from"] = [
         Path(os.path.relpath(p.resolve(), csv_path.parent.resolve())).as_posix() for p in paths
     ]
-    _write_json(_sidecar_path(csv_path), doc)
+    outputs[_sidecar_path(csv_path)] = _write_json(_sidecar_path(csv_path), doc)
     _write_manifest(
         out.with_suffix(".manifest.json"),
         "merge",
         {"archives": [str(p) for p in paths]},
         paths + [_sidecar_path(p) for p in paths],
-        [csv_path, _sidecar_path(csv_path)],
+        outputs,
         started,
     )
     print(f"merged archive size {len(merged)}")
@@ -322,16 +339,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob("trace_*.csv"):
         stale.unlink()
-    outputs: list[Path] = []
     doc = {name: float(v) for name, v in zip(OBJECTIVE_NAMES, objectives)}
     doc["violation"] = violation
     objective_path = out / "objectives.json"
-    _write_json(objective_path, doc)
-    outputs.append(objective_path)
+    outputs = {objective_path: _write_json(objective_path, doc)}
     for s, label in enumerate(scenarios.labels):
         trace_path = out / f"trace_{label}.csv"
-        export_trace(trace, s, trace_path)
-        outputs.append(trace_path)
+        outputs[trace_path] = export_trace(trace, s, trace_path)
     print(
         "cost={!r} emission={!r} heat_waste={!r} violation={!r}".format(
             float(objectives[0]), float(objectives[1]), float(objectives[2]), violation
@@ -368,14 +382,11 @@ def _cmd_tvsa(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
     csv_path = out / "tvsa.csv"
-    export_report_csv(report, csv_path)
-    outputs.append(csv_path)
+    outputs = {csv_path: export_report_csv(report, csv_path)}
     for d, label in enumerate(report.decision_labels):
         svg_path = out / f"tvsa_{label}.svg"
-        svg_path.write_text(tvsa_stacked_bars_svg(report, d))
-        outputs.append(svg_path)
+        outputs[svg_path] = _write_text(svg_path, tvsa_stacked_bars_svg(report, d))
     _write_manifest(
         out / "manifest.json",
         "tvsa",
@@ -411,24 +422,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     objectives = np.array([m.objectives for m in members])
     svg_path = out / "pareto.svg"
-    svg_path.write_text(pareto_scatter_svg(objectives, OBJECTIVE_NAMES, reference))
-
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", *OBJECTIVE_NAMES, "violation", "operator"])
-        for i, m in enumerate(members):
-            writer.writerow(
-                [i]
-                + [repr(float(o)) for o in m.objectives]
-                + [repr(m.violation), m.operator_tag]
-            )
+    summary = io.StringIO()
+    writer = csv.writer(summary, lineterminator="\n")
+    writer.writerow(["index", *OBJECTIVE_NAMES, "violation", "operator"])
+    for i, m in enumerate(members):
+        writer.writerow(
+            [i] + [repr(float(o)) for o in m.objectives] + [repr(m.violation), m.operator_tag]
+        )
+    outputs = {
+        svg_path: _write_text(
+            svg_path, pareto_scatter_svg(objectives, OBJECTIVE_NAMES, reference)
+        ),
+        summary_path: _write_text(summary_path, summary.getvalue()),
+    }
     _write_manifest(
         out / "manifest.json",
         "report",
         {"archive": str(archive_path), "reference": args.reference},
         [archive_path, _sidecar_path(archive_path)],
-        [svg_path, summary_path],
+        outputs,
         started,
     )
     print(f"report for {len(members)} solutions written to {out}")

@@ -10,11 +10,22 @@ CSV with this fixed header (one row per hour, timestamps on the hour, the
     price_prior_rt_usd_mwh, price_rt_usd_mwh, gas_usd_dth,
     load_kw, heat_load_klbh, solar_kw, hydro_kw
 
+The file is read as UTF-8; a leading byte-order mark, as spreadsheet
+programs write, is dropped.  Text without quotes, carriage returns or NUL
+splits on newlines and commas; other text goes through :mod:`csv`.  Each
+column is then parsed whole.  When every stamp has the writer's form
+``{date}T{hh}:00`` and the days are distinct and complete, one comparison
+checks them all; otherwise a row-by-row check finds the first bad row.
+
 Prices are ingested in $/MWh and held internally in $/kWh; all other
-columns are already in internal units.  The writer renders floats at full
-precision so ``load_scenarios(write_scenarios(s))`` reproduces every value
-bit-exactly (scaled price columns fall back to an exact decimal expansion
-when the short form would not invert exactly).
+columns are already in internal units.  A price is its cell's exact
+decimal value times 1e-3, rounded once to a double: a column of plain
+decimals (digits, sign and point, at most 400 characters a cell) parses as
+``float(text + "e-3")``, and any other column through a 400-digit
+``Decimal`` scale, which gives the same double for such cells.  The writer
+renders floats at full precision so ``load_scenarios(write_scenarios(s))``
+reproduces every value bit-exactly (scaled price columns fall back to an
+exact decimal expansion when the short form would not invert exactly).
 
 The synthetic generator exists for tests and desk-scale studies: each
 signal is a deterministic seeded sinusoid-plus-noise, and the hidden loads
@@ -26,11 +37,12 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -73,11 +85,32 @@ class ScenarioLoadError(ValueError):
     """Raised when a scenario file violates the documented schema."""
 
 
-def _parse_prices(cells: Iterable[str]) -> list[float]:
-    """$/MWh column text to $/kWh, with a decimal-exact scale so the writer
-    can always produce an exactly inverting representation."""
+#: Digits of the decimal scale of a price; no price cell of at most this
+#: many characters is rounded before its one conversion to float.
+_PRICE_DIGITS = 400
+
+#: A column of plain decimal cells joined by commas: digits, sign and point
+#: only, so no exponent, whitespace, ``_``, ``inf`` or ``nan``.
+_PLAIN_DECIMALS = re.compile(r"[0-9.+\-,]*")
+
+
+def _parse_prices(cells: Sequence[str]) -> list[float]:
+    """$/MWh column text to $/kWh: each cell's decimal value times 1e-3,
+    rounded once, so the writer can always produce an exactly inverting
+    representation.  A column of plain decimals of at most
+    :data:`_PRICE_DIGITS` characters parses as ``float(text + "e-3")``, which
+    rounds that exact product once; any other column takes the decimal
+    scale, which agrees with it on those cells."""
+    if (
+        _PLAIN_DECIMALS.fullmatch(",".join(cells))
+        and max(map(len, cells), default=0) <= _PRICE_DIGITS
+    ):
+        try:
+            return [float(text + "e-3") for text in cells]
+        except ValueError:
+            pass  # e.g. "" or "1.2.3"; the decimal scale rejects it too
     with localcontext() as ctx:
-        ctx.prec = 400
+        ctx.prec = _PRICE_DIGITS
         return [float(Decimal(text).scaleb(-3)) for text in cells]
 
 
@@ -91,18 +124,18 @@ def _format_price_mwh(price_kwh: float) -> str:
     if _parse_price_mwh(short) == price_kwh:
         return short
     with localcontext() as ctx:
-        ctx.prec = 400
+        ctx.prec = _PRICE_DIGITS
         return format(Decimal(price_kwh).scaleb(3), "f")
 
 
-def _parse_floats(cells: Iterable[str]) -> list[float]:
+def _parse_floats(cells: Sequence[str]) -> list[float]:
     return list(map(float, cells))
 
 
-def _parse_column(column: str, cells: list[str]) -> np.ndarray:
-    """One numeric column, cell by cell with Python ``float`` (prices: the
-    decimal-exact scale).  Only when that fails or gives a non-finite value
-    does a second scan look for the first bad cell, to name its row."""
+def _parse_column(column: str, cells: Sequence[str]) -> np.ndarray:
+    """One numeric column, parsed whole with Python ``float`` (prices: see
+    :func:`_parse_prices`).  Only when that fails or gives a non-finite
+    value does a second scan look for the first bad cell, to name its row."""
     parse = _parse_prices if column in PRICE_COLUMNS else _parse_floats
     try:
         values = np.array(parse(cells), dtype=float)
@@ -122,7 +155,7 @@ def _parse_column(column: str, cells: list[str]) -> np.ndarray:
     raise ScenarioLoadError(f"row {line}: column {column!r} is not finite: {text!r}")
 
 
-def _day_labels(stamps: list[str]) -> list[str]:
+def _day_labels(stamps: Sequence[str]) -> list[str]:
     """Dates of the 24-row days, checking that each timestamp is on the
     hour, each day's rows are contiguous and in hour order, and no day
     repeats."""
@@ -165,33 +198,84 @@ def _day_labels(stamps: list[str]) -> list[str]:
     return labels
 
 
+#: What follows the date in each hour's stamp as :func:`write_scenarios`
+#: writes it.
+_STAMP_HOURS = tuple(f"T{t:02d}:00" for t in range(HOURS_PER_DAY))
+
+
+def _canonical_day_labels(stamps: Sequence[str]) -> list[str] | None:
+    """Dates of the days when every stamp has the writer's form
+    ``{date}T{hh}:00``, the days are distinct and each holds hours 0-23 in
+    order; None when any of that fails, and :func:`_day_labels` decides."""
+    labels = [stamp[:10] for stamp in stamps[::HOURS_PER_DAY]]
+    if len(stamps) != HOURS_PER_DAY * len(labels) or len(set(labels)) != len(labels):
+        return None
+    for label in labels:
+        try:
+            if date.fromisoformat(label).isoformat() != label:
+                return None
+        except ValueError:
+            return None
+    if list(stamps) != [label + hour for label in labels for hour in _STAMP_HOURS]:
+        return None
+    return labels
+
+
+def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the non-empty rows of a UTF-8 CSV file (a leading
+    byte-order mark is dropped), split into cells.  Lines are split on
+    commas as they are read, so the file's text is never held whole; at
+    the first quote, carriage return or NUL the file is read again
+    through :mod:`csv`."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = []
+        for line in fh:
+            if '"' in line or "\r" in line or "\0" in line:
+                break
+            rows.append(line.rstrip("\n").split(","))
+        else:
+            header = rows[0] if rows else []
+            return header, [row for row in rows[1:] if row != [""]]
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        return next(reader, []), [row for row in reader if row]
+
+
 def load_scenarios(path: str | Path) -> Ensemble:
     """Read and validate a scenario CSV; any schema violation raises
     :class:`ScenarioLoadError` naming the offending column and row."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"scenario file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in SCHEMA if c not in header]
-        if missing:
-            raise ScenarioLoadError(f"{path}: missing column(s): {', '.join(missing)}")
-        rows = [row for row in reader if row]
+    header, rows = _read_rows(path)
+    missing = [c for c in SCHEMA if c not in header]
+    if missing:
+        raise ScenarioLoadError(f"{path}: missing column(s): {', '.join(missing)}")
     if not rows:
         raise ScenarioLoadError(f"{path}: no data rows")
-    position = {name: i for i, name in enumerate(header) if name in SCHEMA}
+    position: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in SCHEMA and position.setdefault(name, i) != i:
+            raise ScenarioLoadError(
+                f"{path}: column {name!r} appears twice, at positions "
+                f"{position[name] + 1} and {i + 1}"
+            )
     width = max(position.values()) + 1
     for line, row in enumerate(rows, start=2):
         if len(row) < width:
             absent = next(name for name in header[len(row) :] if name in position)
             raise ScenarioLoadError(f"row {line}: column {absent!r} is missing")
+    columns = list(zip(*rows))
+    del rows
 
-    labels = _day_labels([row[position["datetime"]] for row in rows])
+    stamps = columns[position["datetime"]]
+    labels = _canonical_day_labels(stamps)
+    if labels is None:
+        labels = _day_labels(stamps)
     shape = (len(labels), HOURS_PER_DAY)
 
     def column(name: str) -> np.ndarray:
-        return _parse_column(name, [row[position[name]] for row in rows]).reshape(shape)
+        return _parse_column(name, columns[position[name]]).reshape(shape)
 
     signals = np.stack([column(name) for name in SIGNAL_COLUMNS], axis=-1)
     hidden = {field: column(name) for field, name in HIDDEN_COLUMNS.items()}

@@ -30,10 +30,10 @@ different policies or scenarios can run concurrently without shared state.
 
 from __future__ import annotations
 
-import csv
+import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -376,25 +376,35 @@ def trace_columns(nc: int) -> list[str]:
     return cols
 
 
-def export_trace(d: Dispatch, day: int, path: str | Path) -> None:
-    """Write one day's hourly dispatch to CSV (full float precision: csv
-    writes a float as ``repr``, flags as 0/1)."""
-    columns = [range(HOURS_PER_DAY)]
-    columns += d.power[day].T.tolist()
-    columns += d.steam[day].T.tolist()
-    columns.append(d.boiler_steam[day].tolist())
-    columns += d.chp_on[day].T.astype(int).tolist()
+def _float_cells(values: np.ndarray) -> Iterator[str]:
+    return map(repr, values.tolist())
+
+
+def _flag_cells(values: np.ndarray) -> Iterator[str]:
+    return map(str, values.astype(int).tolist())
+
+
+def export_trace(d: Dispatch, day: int, path: str | Path) -> str:
+    """Write one day's hourly dispatch to CSV in one write, floats at full
+    precision (``repr``) and flags as 0/1; returns the sha256 of the bytes
+    written."""
+    columns = [map(str, range(HOURS_PER_DAY))]
+    columns += map(_float_cells, d.power[day].T)
+    columns += map(_float_cells, d.steam[day].T)
+    columns.append(_float_cells(d.boiler_steam[day]))
+    columns += map(_flag_cells, d.chp_on[day].T)
     columns += [
-        d.boiler_on[day].astype(int).tolist(),
-        d.st_power[day].tolist(),
-        d.exchange[day].tolist(),
-        d.cost[day].tolist(),
-        d.emission_lb[day].tolist(),
-        d.waste[day].astype(int).tolist(),
-        d.heat_satisfaction[day].tolist(),
-        d.reliable[day].astype(int).tolist(),
+        _flag_cells(d.boiler_on[day]),
+        _float_cells(d.st_power[day]),
+        _float_cells(d.exchange[day]),
+        _float_cells(d.cost[day]),
+        _float_cells(d.emission_lb[day]),
+        _flag_cells(d.waste[day]),
+        _float_cells(d.heat_satisfaction[day]),
+        _flag_cells(d.reliable[day]),
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trace_columns(d.power.shape[2]))
-        writer.writerows(zip(*columns))
+    lines = [",".join(trace_columns(d.power.shape[2])), *map(",".join, zip(*columns)), ""]
+    data = "\n".join(lines).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()

@@ -192,9 +192,13 @@ class EpsilonArchive:
     def operator_counts(self) -> dict[str, int]:
         return dict(self._counts)
 
-    def insert(self, candidate: Solution) -> tuple[bool, bool]:
+    def insert(self, candidate: Solution, key: np.ndarray | None = None) -> tuple[bool, bool]:
+        """Offer a candidate; ``key`` is its key under this archive's
+        epsilons, for a caller that has built it already."""
         eps = self._eps
-        key = _key(candidate, eps)[:, None]
+        if key is None:
+            key = _key(candidate, eps)
+        key = key[:, None]
         best, worst = _dominance(key, self._keys)
         score = best + worst
         if (score < 0.0).any():
@@ -328,11 +332,11 @@ def _replace_in_population(
     rng: np.random.Generator,
     population: _Population,
     child: Solution,
-    epsilons: tuple[float, ...],
+    key: np.ndarray,
 ) -> int:
-    """Put the child in place of a random member it dominates, or of a
-    random member when it dominates none; returns the member's index."""
-    key = _key(child, epsilons)
+    """Put the child, whose key is ``key``, in place of a random member it
+    dominates, or of a random member when it dominates none; returns the
+    member's index."""
     best, worst = _dominance(key[:, None], population.keys)
     dominated = np.flatnonzero(best + worst > 0.0)
     if len(dominated):
@@ -384,8 +388,9 @@ def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
             for _ in range(OPERATOR_ARITY[name])
         ]
         child = evaluate(vary(rng, name, parents, config.bound, config.variation), name)
-        _, progress = archive.insert(child)
-        _replace_in_population(rng, population, child, eps)
+        key = _key(child, eps)
+        _, progress = archive.insert(child, key)
+        _replace_in_population(rng, population, child, key)
         stall = 0 if progress else stall + 1
 
         window = (

@@ -22,9 +22,12 @@ are flagged as empty cells rather than reported as zero variance shares.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -198,45 +201,54 @@ def build_report(
     )
 
 
-def export_report_csv(report: TvsaReport, path: str | Path) -> None:
+def _csv_cell(text: str) -> str:
+    """``text`` as :mod:`csv` writes it as one cell of a row, quoted only
+    where it needs to be."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[: -len(",\n")]
+
+
+def _report_rows(report: TvsaReport) -> Iterator[str]:
+    """The text of each row of :func:`export_report_csv`, header first."""
+    names = [_csv_cell(name) for name in report.input_names]
+    pairs = [
+        (a, b, _csv_cell(f"{report.input_names[a]}*{report.input_names[b]}"))
+        for a in range(N_SIGNALS)
+        for b in range(a + 1, N_SIGNALS)
+    ]
+    labels = [_csv_cell(label) for label in report.decision_labels]
+    yield "decision,hour,term_type,inputs,raw,normalized"
+    for (d, t), cell in report.cells.items():
+        head = f"{labels[d]},{t}"
+        if cell.degenerate:
+            yield f"{head},empty,,0.0,0.0"
+            continue
+        first, norm_first = cell.first_order.tolist(), cell.normalized_first.tolist()
+        for a in range(N_SIGNALS):
+            yield f"{head},first,{names[a]},{first[a]!r},{norm_first[a]!r}"
+        second, norm_second = cell.second_order.tolist(), cell.normalized_second.tolist()
+        for a, b, inputs in pairs:
+            pair_total = 2.0 * second[a][b]
+            if pair_total != 0.0:
+                term = "second_pos" if pair_total > 0.0 else "second_neg"
+                yield f"{head},{term},{inputs},{pair_total!r},{norm_second[a][b]!r}"
+
+
+def export_report_csv(report: TvsaReport, path: str | Path) -> str:
     """Long-format export: one row per term, empty cells marked explicitly.
 
     Columns: decision, hour, term_type (first | second_pos | second_neg |
-    empty), inputs ("a" or "a*b"), raw value, normalized value.
+    empty), inputs ("a" or "a*b"), raw value, normalized value.  Values
+    are written with ``repr``, a few hundred rows per write, so that the
+    whole text is never held at once; returns the sha256 of the bytes
+    written.
     """
-    names = report.input_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["decision", "hour", "term_type", "inputs", "raw", "normalized"])
-        for (d, t), cell in report.cells.items():
-            label = report.decision_labels[d]
-            if cell.degenerate:
-                writer.writerow([label, t, "empty", "", repr(0.0), repr(0.0)])
-                continue
-            for a in range(N_SIGNALS):
-                writer.writerow(
-                    [
-                        label,
-                        t,
-                        "first",
-                        names[a],
-                        repr(float(cell.first_order[a])),
-                        repr(float(cell.normalized_first[a])),
-                    ]
-                )
-            for a in range(N_SIGNALS):
-                for b in range(a + 1, N_SIGNALS):
-                    pair_total = 2.0 * float(cell.second_order[a, b])
-                    if pair_total == 0.0:
-                        continue
-                    term = "second_pos" if pair_total > 0.0 else "second_neg"
-                    writer.writerow(
-                        [
-                            label,
-                            t,
-                            term,
-                            f"{names[a]}*{names[b]}",
-                            repr(pair_total),
-                            repr(float(cell.normalized_second[a, b])),
-                        ]
-                    )
+    digest = hashlib.sha256()
+    rows = _report_rows(report)
+    with open(path, "wb") as fh:
+        while chunk := list(islice(rows, 512)):
+            data = ("\n".join(chunk) + "\n").encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()

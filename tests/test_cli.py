@@ -388,6 +388,26 @@ class TestTvsaCommand:
         assert "2 scenarios" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "tvsa"])
+def test_analysis_manifest_digests_match_files(tmp_path, scenario_csv, trained, command):
+    out = tmp_path / command
+    assert main(
+        [
+            command, "--scenarios", str(scenario_csv),
+            "--archive", str(trained), "--row", "0", "--out", str(out),
+        ]
+    ) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    on_disk = {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir()
+        if p.name != "manifest.json"
+    }
+    assert manifest["output_digests"] == on_disk
+    assert len(on_disk) == (4 if command == "evaluate" else 6)
+
+
 def copy_archive(trained, directory, edit_rows=None, edit_sidecar=None):
     """The trained archive and its sidecar copied into ``directory``,
     after ``edit_rows`` (on the CSV rows) and ``edit_sidecar`` (on the

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+from datetime import date, timedelta
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chpdispatch.data import (
+    HIDDEN_COLUMNS,
+    PRICE_COLUMNS,
+    SCHEMA,
+    SIGNAL_COLUMNS,
     ScenarioLoadError,
     SignalSpec,
     SyntheticSpec,
+    _day_labels,
     _format_price_mwh,
     _parse_price_mwh,
     generate_synthetic,
@@ -21,7 +31,7 @@ from chpdispatch.data import (
     synthetic_spec_to_dict,
     write_scenarios,
 )
-from chpdispatch.environment import HOURLY_FIELDS, Ensemble
+from chpdispatch.environment import HOURLY_FIELDS, HOURS_PER_DAY, Ensemble
 
 from conftest import constant_scenario
 
@@ -123,6 +133,128 @@ class TestCsvRoundTrip:
     def test_human_entered_prices_load_naturally(self, tmp_path):
         assert _parse_price_mwh("57.3") == pytest.approx(0.0573, abs=1e-15)
         assert _parse_price_mwh("-12.5") == -0.0125
+
+
+def load_cell_by_cell(path) -> Ensemble:
+    """The loader one cell at a time: ``csv.reader``, the row-by-row stamp
+    check, and every price through a 400-digit ``Decimal`` scale."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    position = {name: i for i, name in enumerate(header)}
+    labels = _day_labels([row[position["datetime"]] for row in rows])
+
+    def column(name):
+        cells = [row[position[name]] for row in rows]
+        if name in PRICE_COLUMNS:
+            with localcontext() as ctx:
+                ctx.prec = 400
+                values = [float(Decimal(text).scaleb(-3)) for text in cells]
+        else:
+            values = [float(text) for text in cells]
+        return np.array(values).reshape(len(labels), HOURS_PER_DAY)
+
+    return Ensemble(
+        labels=labels,
+        signals=np.stack([column(name) for name in SIGNAL_COLUMNS], axis=-1),
+        **{field: column(name) for field, name in HIDDEN_COLUMNS.items()},
+    )
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e6)
+_count = st.integers(1, 10**6)
+#: Hand-typed positive cells, in forms other than the writer's.
+_typed = st.one_of(
+    _positive.map(repr),
+    _positive.map(lambda x: f"+{x!r}"),
+    _positive.map(lambda x: f" {x!r}"),
+    _count.map(lambda n: f".{n}"),
+    _count.map(lambda n: f"{n}."),
+    st.tuples(_count, _count, st.integers(-5, 5)).map(lambda m: f"{m[0]}.{m[1]}e{m[2]}"),
+    st.tuples(_count, st.integers(0, 999)).map(lambda m: f"{m[0]}_{m[1]:03d}"),
+)
+_prices = st.one_of(
+    _typed,
+    st.floats(min_value=-1.0, max_value=1.0).map(_format_price_mwh),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", min_size=401, max_size=440)).map(
+        lambda m: f"{m[0]}1.{m[1]}"
+    ),
+)
+_STAMPS = ("{}T{:02d}:00", "{} {:02d}:00:00", "{}T{:02d}:00:00")
+
+
+@st.composite
+def scenario_files(draw) -> str:
+    """A scenario CSV's text: canonical or other stamps, typed cells and
+    long prices, some cells quoted, some blank lines, ``\\n`` or ``\\r\\n``
+    line ends."""
+    start = date(2019, 1, 1) + timedelta(days=draw(st.integers(0, 700)))
+    stamp = draw(st.sampled_from(_STAMPS))
+    quote = draw(st.booleans())
+    cells = {
+        name: draw(st.lists(_prices if name in PRICE_COLUMNS else _typed, min_size=1, max_size=4))
+        for name in SCHEMA[1:]
+    }
+    lines = [",".join(SCHEMA)]
+    for row in range(HOURS_PER_DAY * draw(st.integers(1, 3))):
+        label = (start + timedelta(days=row // HOURS_PER_DAY)).isoformat()
+        texts = [column[row % len(column)] for column in cells.values()]
+        if quote:
+            texts = [f'"{text}"' if row % 3 == 0 else text for text in texts]
+        lines.append(",".join([stamp.format(label, row % HOURS_PER_DAY), *texts]))
+    if draw(st.booleans()):
+        for i in range(len(lines) - 1, 0, -7):
+            lines.insert(i, "")  # a blank line among the rows
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+class TestWholeColumnParse:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(text=scenario_files())
+    def test_matches_cell_by_cell_load(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "days.csv"
+        path.write_bytes(text.encode())
+        assert scenarios_equal(load_scenarios(path), load_cell_by_cell(path))
+
+    @pytest.mark.parametrize("seed,season", [(13, "winter"), (14, "summer")])
+    def test_writer_files_match_cell_by_cell_load(self, tmp_path, seed, season):
+        path = tmp_path / "days.csv"
+        write_scenarios(generate_synthetic(SyntheticSpec(seed, 4, season)), path)
+        assert scenarios_equal(load_scenarios(path), load_cell_by_cell(path))
+
+    def test_price_cell_beyond_the_decimal_scale_keeps_its_rounding(self, tmp_path):
+        # Just above the midpoint of two doubles, in a digit past the 400th:
+        # the 400-digit scale rounds to the midpoint, which ties to the even
+        # neighbour, while one rounding of the exact text would go up.
+        low = 0.05 if np.array(0.05).view(np.int64) % 2 == 0 else np.nextafter(0.05, 0.0)
+        low, high = float(low), float(np.nextafter(low, 1.0))
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            midpoint_mwh = ((Decimal(low) + Decimal(high)) / 2).scaleb(3)
+        text = format(midpoint_mwh, "f") + "0" * 400 + "1"
+        assert float(text + "e-3") == high
+        path = _write_rows(
+            tmp_path, mutate=lambda lines: [lines[0], _set_cell(lines[1], 6, text), *lines[2:]]
+        )
+        loaded = load_scenarios(path)
+        assert loaded.rt_price[0, 0] == low
+        assert scenarios_equal(loaded, load_cell_by_cell(path))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, newline):
+        plain = _write_rows(tmp_path)
+        text = plain.read_text().replace("\n", newline)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert scenarios_equal(load_scenarios(marked), load_scenarios(plain))
+
+
+def _set_cell(line: str, index: int, text: str) -> str:
+    parts = line.split(",")
+    parts[index] = text
+    return ",".join(parts)
 
 
 def _write_rows(tmp_path, mutate=None, drop_column=None):
@@ -240,6 +372,22 @@ class TestLoaderErrors:
         # 2019-01-01, 2019-01-02, then 2019-01-01 again
         path = _write_rows(tmp_path, mutate=lambda lines: lines + lines[1:25])
         with pytest.raises(ScenarioLoadError, match="row 50: day 2019-01-01 repeats"):
+            load_scenarios(path)
+
+    def test_repeated_schema_column_names_both_positions(self, tmp_path):
+        def second_load(lines):
+            return [lines[0] + ",load_kw"] + [line + ",1234.5" for line in lines[1:]]
+
+        path = _write_rows(tmp_path, mutate=second_load)
+        with pytest.raises(ScenarioLoadError, match="'load_kw' appears twice, at positions 9 and 13"):
+            load_scenarios(path)
+
+    def test_impossible_date_in_writer_form_reports_row(self, tmp_path):
+        def february_30(lines):
+            return [line.replace("2019-01-02T", "2019-02-30T") for line in lines]
+
+        path = _write_rows(tmp_path, mutate=february_30)
+        with pytest.raises(ScenarioLoadError, match="row 26: bad datetime '2019-02-30T00:00'"):
             load_scenarios(path)
 
     def test_timestamp_off_the_hour_reports_row(self, tmp_path):

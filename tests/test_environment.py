@@ -3,8 +3,10 @@ reliability, and the day simulator against the independent oracle."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import os
 import pickle
 import subprocess
@@ -739,6 +741,43 @@ class TestTraceExport:
         header, first = (line.split(",") for line in path.read_text().splitlines()[:2])
         assert first[header.index("heat_satisfaction")] == "inf"
         assert first[header.index("heat_waste_flag")] == "1"
+
+
+    @pytest.mark.parametrize("plant", ["winter", "all-switchable"])
+    def test_bytes_match_csv_writer_rendering(self, tmp_path, plant, summer_scenarios):
+        cfg = all_switchable_config() if plant == "all-switchable" else default_config(plant)
+        d = dispatch(random_decisions(np.random.default_rng(71), cfg, 5), summer_scenarios, cfg)
+        d = d._replace(heat_satisfaction=d.heat_satisfaction.copy())
+        d.heat_satisfaction[0, :3] = [np.inf, -0.0, 1e-300]
+        for day in range(len(summer_scenarios)):
+            path = tmp_path / f"trace{day}.csv"
+            digest = export_trace(d, day, path)
+            assert path.read_bytes() == _csv_writer_trace(d, day)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _csv_writer_trace(d: Dispatch, day: int) -> bytes:
+    """One day's trace as ``csv.writer`` rendered it row by row: floats by
+    ``repr``, flags as the ints 0 and 1."""
+    nc = d.power.shape[2]
+    header = ["hour"]
+    header += [f"chp{i + 1}_{name}" for name in ("power_kw", "steam_klbh") for i in range(nc)]
+    header.append("boiler_steam_klbh")
+    header += [f"chp{i + 1}_on" for i in range(nc)]
+    header += ["boiler_on", "st_power_kw", "exchange_kw", "cost_usd", "emission_lb",
+               "heat_waste_flag", "heat_satisfaction", "reliability_flag"]  # fmt: skip
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for t in range(24):
+        writer.writerow(
+            [t, *d.power[day, t].tolist(), *d.steam[day, t].tolist(),
+             float(d.boiler_steam[day, t]), *d.chp_on[day, t].astype(int).tolist(),
+             int(d.boiler_on[day, t]), float(d.st_power[day, t]), float(d.exchange[day, t]),
+             float(d.cost[day, t]), float(d.emission_lb[day, t]), int(d.waste[day, t]),
+             float(d.heat_satisfaction[day, t]), int(d.reliable[day, t])]
+        )  # fmt: skip
+    return buffer.getvalue().encode()
 
 
 def _reference_dispatch(u, days, cfg) -> Dispatch:

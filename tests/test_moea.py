@@ -361,7 +361,9 @@ class TestReplacementMatchesReferenceRule:
             best, worst = moea._dominance(moea._key(child, eps)[:, None], population.keys)
             want = [i for i, m in enumerate(reference) if _reference_dominates(child, m, eps)]
             assert list(np.flatnonzero(best + worst > 0.0)) == want
-            index = moea._replace_in_population(ours, population, child, eps)
+            index = moea._replace_in_population(
+                ours, population, child, moea._key(child, eps)
+            )
             if want:
                 expected = want[int(theirs.integers(len(want)))]
             else:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -263,6 +265,51 @@ class TestForcedOff:
         assert not any(
             r["decision"] == "chp2_power" and r["term_type"] != "empty" for r in rows
         )
+
+
+class TestReportCsv:
+    @pytest.mark.parametrize("labels", [None, ["a,b", 'say "on"', "", "d", "e", "f", "g"]])
+    def test_bytes_match_csv_writer_rendering(
+        self, tmp_path, summer_config, summer_scenarios, labels
+    ):
+        policy = TestForcedOff()._off_policy(summer_config, summer_scenarios)
+        report = build_report(policy, summer_scenarios, labels, config=summer_config)
+        live = make_policy(np.random.default_rng(12), summer_config, summer_scenarios)
+        live_report = build_report(live, summer_scenarios, labels, config=summer_config)
+        for r, rep in enumerate((report, live_report)):
+            path = tmp_path / f"tvsa{r}.csv"
+            digest = export_report_csv(rep, path)
+            assert path.read_bytes() == _csv_writer_report(rep)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert b",empty,," in (tmp_path / "tvsa0.csv").read_bytes()
+
+
+def _csv_writer_report(report: TvsaReport) -> bytes:
+    """The long-format report as ``csv.writer`` rendered it row by row."""
+    names = report.input_names
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["decision", "hour", "term_type", "inputs", "raw", "normalized"])
+    for (d, t), cell in report.cells.items():
+        label = report.decision_labels[d]
+        if cell.degenerate:
+            writer.writerow([label, t, "empty", "", repr(0.0), repr(0.0)])
+            continue
+        for a in range(len(names)):
+            writer.writerow(
+                [label, t, "first", names[a], repr(float(cell.first_order[a])),
+                 repr(float(cell.normalized_first[a]))]
+            )  # fmt: skip
+        for a in range(len(names)):
+            for b in range(a + 1, len(names)):
+                pair_total = 2.0 * float(cell.second_order[a, b])
+                if pair_total != 0.0:
+                    writer.writerow(
+                        [label, t, "second_pos" if pair_total > 0.0 else "second_neg",
+                         f"{names[a]}*{names[b]}", repr(pair_total),
+                         repr(float(cell.normalized_second[a, b]))]
+                    )  # fmt: skip
+    return buffer.getvalue().encode()
 
 
 class TestBuildReport:

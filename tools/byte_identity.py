@@ -8,7 +8,9 @@ policy artifacts, then runs ``train`` (single- and multi-seed, on 7 winter,
 reference point), ``evaluate`` and both ``tvsa`` modes, all in this process
 with the package of the checkout the script lives in.  It prints
 ``<sha256>  <path>`` for every data output, sorted by path.  Manifests are
-left out: they hold a wall-clock field and absolute paths.
+left out: they hold a wall-clock field and absolute paths.  Instead, every
+manifest's ``output_digests`` must equal the sha256 of the files on disk;
+the script names each file where they differ and exits 1.
 
 Run it on two checkouts and ``diff`` the outputs to show that a change
 keeps every archive, sidecar, objective file, trace, TVSA table and SVG
@@ -33,6 +35,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -128,6 +131,20 @@ def run_all(work: Path) -> None:
         analyze(work, scenarios, source, f"policy{p}")
 
 
+def manifest_mismatches(work: Path) -> list[str]:
+    """Each output a manifest lists whose file is missing or has other
+    bytes than its recorded sha256."""
+    found = []
+    for manifest in sorted(work.rglob("*manifest.json")):
+        for name, digest in json.loads(manifest.read_text())["output_digests"].items():
+            path = Path(name)
+            if not path.is_file():
+                found.append(f"{manifest}: {name} is missing")
+            elif hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+                found.append(f"{manifest}: {name} does not match its output digest")
+    return found
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--work", default=None, help="keep the outputs in this directory")
@@ -152,7 +169,10 @@ def main() -> int:
             if path.is_file() and not path.name.endswith("manifest.json"):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {path}")
-    return 0
+        mismatches = manifest_mismatches(Path())
+    for message in mismatches:
+        print(f"byte_identity: {message}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
