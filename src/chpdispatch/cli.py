@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -448,7 +449,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every default is
+    immutable, so no parse leaves state behind for the next."""
     parser = argparse.ArgumentParser(
         prog="chpdispatch",
         description="Train, merge, evaluate, and explain microgrid dispatch policies.",

@@ -5,16 +5,20 @@ ensemble of scenario-days at once: normalized policy decisions in [0, 1]
 are mapped onto the feasible window of each unit (ramp limits anchored at
 the previous hour), the grid exchange closes the electric balance exactly,
 and every hour records its cost, emissions, heat-waste flag and heat
-reliability.  When every CHP's ramps span its power range, as on the
-default plant, each window is the static ``[p_min, p_max]`` and power maps
-onto it in one array pass; otherwise an hourly loop carries the ramp
-anchor.  A day's start power must be 0 (off) or lie within
-``[p_min, p_max]``.  Gas and steam-turbine power come from the fitted
-curves of :mod:`.grid_model`, each called once over every (unit, scenario,
-hour).  :class:`Ensemble` holds the scenario-days as arrays, and
-:func:`dispatch` is the one simulator; training reduces its per-hour arrays
-to daily objectives with :func:`day_objectives`, and ``evaluate`` writes
-its traces from the same arrays.
+reliability.  One array pass maps every power and steam decision onto its
+static limits (``[p_min, p_max]``, ``[q_min, q_max]``, zero for an off
+unit).  When every CHP's ramps span its power range, as on the default
+plant, each ramp window is the static ``[p_min, p_max]`` and that pass sets
+power too; otherwise an hourly loop carries the ramp anchor.  A day's start
+power must be 0 (off) or lie within ``[p_min, p_max]``.  Gas and
+steam-turbine power come from the formulas of :mod:`.grid_model`'s fitted
+curves, each called once over every (unit, scenario, hour) without the
+curves' range checks: the clipping guarantees them, and ``ChpParams``
+keeps the efficiency positive on ``[p_min, p_max]``.  :class:`Ensemble`
+holds the scenario-days as arrays, and :func:`dispatch` is the one
+simulator; training reduces its per-hour arrays to daily objectives with
+:func:`day_objectives`, and ``evaluate`` writes its traces from the same
+arrays.
 
 Decision-vector layout for ``nc`` CHP units (see :func:`decision_names`):
 
@@ -40,10 +44,10 @@ import numpy as np
 from .grid_model import (
     LB_PER_METRIC_TON,
     MicrogridConfig,
-    boiler_fuel,
-    chp_power_fuel,
-    chp_steam_fuel,
-    steam_turbine_power,
+    _boiler_fuel,
+    _power_fuel,
+    _steam_fuel,
+    _turbine_power,
 )
 
 #: Exogenous signals a policy can observe, in decision-vector order.
@@ -193,10 +197,11 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     off (ramping across an off period is waived).  A day's start power must
     be 0 (off) or lie within ``[p_min, p_max]``.  When every unit's ramps
     span its range (``config.chp_stack.ramps_span``) each window is exactly
-    ``[p_min, p_max]``, so power maps onto these static limits in one pass,
-    with the same bits; otherwise an hourly loop carries the anchor.  Steam
-    maps onto the static steam limits.  Commitment outputs at or above 0.5
-    turn a switchable unit on; an off unit's continuous outputs are zero.
+    ``[p_min, p_max]``, so power maps onto these static limits in the same
+    pass as steam, with the same bits; otherwise an hourly loop carries the
+    anchor.  Steam maps onto the static steam limits.  Commitment outputs
+    at or above 0.5 turn a switchable unit on; an off unit's continuous
+    outputs are zero.
     Cost is gas burned at the gas price plus the signed grid exchange at
     the real-time price; emissions combine local combustion with purchased
     power (exports earn no credit).  An hour wastes heat when steam exceeds
@@ -217,9 +222,8 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
         raise ValueError("decisions must lie in [0, 1]")
 
     units = cfg.chp_stack  # (nc, 1, 1) per ChpParams field
-    p_min, p_max = units.p_min, units.p_max
     if days.init_power is not None:
-        _check_start(days, p_min[:, :, 0], p_max[:, :, 0])
+        _check_start(days, units.p_min[:, :, 0], units.p_max[:, :, 0])
 
     # Unit axis first: every decision column is a contiguous (S, 24) array,
     # and per-unit arrays are (nc, S, 24).  An extra last column of ones is
@@ -227,25 +231,18 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
     cols = np.empty((k + 1, S, HOURS_PER_DAY))
     cols[:k] = u.transpose(2, 0, 1)
     cols[k] = 1.0
-    on = cols[2 * nc + 1 :][cfg.commitment_index] >= 0.5
-    chp_on, boiler_on = on[:nc], on[nc]
+    limits = cfg.static_limits  # rows 0 .. 2 nc: CHP powers, CHP steams, boiler steam
+    on = cols[2 * nc + 1 :][limits.flag] >= 0.5
+    chp_on, boiler_on = on[:nc], on[2 * nc]
 
-    # Steam maps onto static limits; off units produce nothing.
-    q_min, q_max = units.q_min, units.q_max
-    steam = q_min + cols[nc : 2 * nc] * (q_max - q_min)
-    steam = np.where(chp_on, np.minimum(np.maximum(steam, q_min), q_max), 0.0)
-    b = cfg.boiler
-    qb = b.q_min + cols[2 * nc] * (b.q_max - b.q_min)
-    qb = np.minimum(np.maximum(qb, b.q_min), b.q_max)
-    qb = np.where(boiler_on, qb, 0.0)
+    # One pass maps every row onto its static limits; off units produce
+    # nothing.  With spanning ramps each window is exactly [p_min, p_max]
+    # (anchors lie in it, rounding is monotone): the loop's bits, in one pass.
+    x = limits.lo + cols[: 2 * nc + 1] * limits.span
+    x = np.where(on, np.minimum(np.maximum(x, limits.lo), limits.hi), 0.0)
+    power, steam, qb = x[:nc], x[nc : 2 * nc], x[2 * nc]
 
-    if units.ramps_span:
-        # Every anchor lies in [p_min, p_max] and float rounding is
-        # monotone, so each window is exactly [p_min, p_max]: power maps
-        # like steam, the same expression on the same operands as the loop.
-        power = p_min + cols[:nc] * (p_max - p_min)
-        power = np.where(chp_on, np.minimum(np.maximum(power, p_min), p_max), 0.0)
-    else:
+    if not units.ramps_span:
         # Each hour's window ramps off the last.  One set of array
         # operations per hour moves every unit.  State and limits are full
         # (nc, S) arrays, which numpy combines without broadcasting.
@@ -256,7 +253,6 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
         zero = np.zeros((nc, S))
         u_power = cols[:nc].transpose(2, 0, 1).copy()  # (24, nc, S)
         on_power = chp_on.transpose(2, 0, 1).copy()
-        power = np.zeros((HOURS_PER_DAY, nc, S))  # off units stay at zero
         if days.init_power is None:  # every CHP starts on, mid-range
             prev = 0.5 * (p_min + p_max)
         else:
@@ -267,19 +263,18 @@ def dispatch(u: np.ndarray, days: Ensemble, config: MicrogridConfig) -> Dispatch
             lo = np.maximum(p_min, anchor + ramp_down)
             hi = np.minimum(p_max, anchor + ramp_up)
             p = lo + u_power[t] * (hi - lo)
-            prev = power[t]
+            prev = power[:, :, t]  # off units keep the static pass's zero
             np.copyto(prev, np.minimum(np.maximum(p, lo), hi), where=on_power[t])
-        power = power.transpose(1, 2, 0).copy()  # (nc, S, 24)
 
     # Unit-by-unit summation order q1 + q2 + ... + qb, as in the oracle.
     steam_total = sum(steam[1:], steam[0]) + qb
-    st_power = steam_turbine_power(steam_total, cfg.steam_turbine)
+    st_power = _turbine_power(steam_total, cfg.steam_turbine)
 
     chp_sum = sum(power[1:], power[0])
     p_e = days.electric_load - chp_sum - st_power - days.hydro - days.solar
 
-    fuel = chp_power_fuel(power, units) + chp_steam_fuel(steam, units)
-    gas = sum(fuel, 0.0) + boiler_fuel(qb, b, committed=boiler_on)
+    fuel = _power_fuel(power, units) + _steam_fuel(steam, units)
+    gas = sum(fuel, 0.0) + _boiler_fuel(qb, cfg.boiler, boiler_on)
 
     cost = gas * days.gas_price + p_e * days.rt_price
     emission = gas * cfg.emission.gas_emission_rate + (

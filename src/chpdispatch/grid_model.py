@@ -2,7 +2,8 @@
 
 Each fitted curve in this module is a pure map from operating points
 (scalars or arrays) to a physical quantity, using regression coefficients
-fitted from plant history; the dispatch kernel calls these same functions.
+fitted from plant history.  The dispatch kernel calls the same formulas and
+leaves out the range checks that its clipping already guarantees.
 Internal units are fixed across the whole package:
 
     power            kW
@@ -23,7 +24,8 @@ regression produced, not physical truths:
   breakpoint) and reports 1552.2 kW at zero steam.  No clamp is applied.
 * The second CHP's electrical-efficiency polynomial exceeds 1.0 above
   roughly 14 700 kW.  Validation only requires the polynomial to stay
-  strictly positive over the committed operating range.
+  strictly positive, with room for float rounding, over the committed
+  operating range.
 """
 
 from __future__ import annotations
@@ -97,10 +99,15 @@ class ChpParams:
             raise ValueError(f"heating_value must be > 0, got {self.heating_value}")
         _require_finite(self)
         # The fuel model divides by the efficiency, so it must stay strictly
-        # positive on [p_min, p_max].
-        if self._min_efficiency_committed() <= 0.0:
+        # positive on [p_min, p_max].  Its minimum there, at an end or the
+        # vertex, must also clear the float64 rounding of the polynomial (a
+        # few ulps of |a_c| + |b_c| + |c_c| on load ratios in [0, 1]), or a
+        # power next to the minimum can evaluate to zero or below.
+        rounding = 8.0 * np.finfo(float).eps * (abs(self.a_c) + abs(self.b_c) + abs(self.c_c))
+        if self._min_efficiency_committed() <= rounding:
             raise ValueError(
-                "efficiency polynomial must be strictly positive on [p_min, p_max]"
+                "efficiency polynomial must be strictly positive on [p_min, p_max], "
+                "with room for float rounding"
             )
 
     def _min_efficiency_committed(self) -> float:
@@ -111,7 +118,7 @@ class ChpParams:
             vertex = -self.b_c / (2.0 * self.c_c) * self.p_max
             if self.p_min < vertex < self.p_max:
                 points.append(vertex)
-        return float(np.min(chp_efficiency(np.array(points), self)))
+        return float(np.min(_efficiency(np.array(points), self)))
 
     @property
     def free_steam_limit(self) -> float:
@@ -143,7 +150,7 @@ class BoilerParams:
         slope_hi = 2.0 * self.a_b * self.q_max + self.b_b
         if min(slope_lo, slope_hi) < 0.0:
             raise ValueError("boiler fuel curve must be nondecreasing on [q_min, q_max]")
-        if boiler_fuel(self.q_min, self) < 0.0:
+        if _boiler_fuel(self.q_min, self, True) < 0.0:
             raise ValueError("boiler fuel curve must be nonnegative on [q_min, q_max]")
 
 
@@ -203,6 +210,13 @@ class MicrogridConfig:
     def __post_init__(self) -> None:
         if len(self.chp) < 1:
             raise ValueError("at least one CHP unit is required")
+        # The dispatch kernel relies on the params' own validation.
+        for name, value, params in [
+            *((f"chp[{i}]", c, ChpParams) for i, c in enumerate(self.chp)),
+            ("boiler", self.boiler, BoilerParams),
+        ]:
+            if not isinstance(value, params):
+                raise ValueError(f"{name} must be a {params.__name__}, got {type(value).__name__}")
         if self.season not in ("winter", "summer"):
             raise ValueError(f"season must be 'winter' or 'summer', got {self.season!r}")
         if self.season == "winter" and self.switchable_units:
@@ -255,6 +269,16 @@ class MicrogridConfig:
         )
         return stack
 
+    @cached_property
+    def static_limits(self) -> SimpleNamespace:
+        """Decision rows 0 .. 2 nc (CHP powers and steams, boiler steam): limits
+        ``lo``, ``hi``, ``span`` as (2 nc + 1, 1, 1) stacks; ``flag``, commitment index."""
+        units, b, nc = self.chp_stack, self.boiler, len(self.chp)
+        lo = np.concatenate((units.p_min, units.q_min, [[[b.q_min]]]))
+        hi = np.concatenate((units.p_max, units.q_max, [[[b.q_max]]]))
+        flag = np.concatenate((self.commitment_index[:nc], self.commitment_index))
+        return SimpleNamespace(lo=lo, hi=hi, span=hi - lo, flag=flag)
+
 
 def _check(ok, message: str, **values) -> None:
     """Raise ``ValueError(message)`` unless every element of ``ok`` holds,
@@ -267,9 +291,31 @@ def _check(ok, message: str, **values) -> None:
         raise ValueError(message.format(**at))
 
 
-# The fitted curves.  Each takes scalars or arrays of operating points and
-# reads its coefficients by attribute, from one unit's params or from
-# MicrogridConfig.chp_stack; dispatch calls them on whole ensembles.
+# The fitted curves take scalars or arrays of operating points and read their
+# coefficients by attribute, from one unit's params or MicrogridConfig.chp_stack.
+# Formulas first: each public curve checks its points, then calls one.
+
+
+def _efficiency(p, params):
+    r = p / params.p_max
+    return params.a_c + params.b_c * r + params.c_c * r * r
+
+
+def _power_fuel(p, params):
+    eff, off = _efficiency(p, params), p == 0.0
+    return np.where(off, 0.0, p / (params.heating_value * np.where(off, 1.0, eff)))
+
+
+def _steam_fuel(q, params):
+    return np.maximum(params.a_q * q - params.b_q, 0.0)
+
+
+def _boiler_fuel(q, params, committed):
+    return np.where(committed, params.a_b * q * q + params.b_b * q + params.c_b, 0.0)
+
+
+def _turbine_power(q, params):
+    return np.where(q > params.c_s, params.a1_s * q + params.b1_s, params.a2_s * q + params.b2_s)
 
 
 def chp_efficiency(p, params: ChpParams):
@@ -280,8 +326,7 @@ def chp_efficiency(p, params: ChpParams):
     """
     _check((p >= 0.0) & (p <= params.p_max), "power {p} kW outside [0, {p_max}]",
            p=p, p_max=params.p_max)  # fmt: skip
-    r = p / params.p_max
-    return params.a_c + params.b_c * r + params.c_c * r * r
+    return _efficiency(p, params)
 
 
 def chp_power_fuel(p, params: ChpParams):
@@ -292,7 +337,7 @@ def chp_power_fuel(p, params: ChpParams):
            p=p, p_min=params.p_min, p_max=params.p_max)  # fmt: skip
     _check(off | (eff > 0.0), "fitted efficiency is non-positive ({eff}) at {p} kW",
            eff=eff, p=p)  # fmt: skip
-    return np.where(off, 0.0, p / (params.heating_value * np.where(off, 1.0, eff)))
+    return _power_fuel(p, params)
 
 
 def chp_steam_fuel(q, params: ChpParams):
@@ -301,7 +346,7 @@ def chp_steam_fuel(q, params: ChpParams):
     _check((q == 0.0) | ((q >= params.q_min) & (q <= params.q_max)),
            "steam {q} klb/h outside [{q_min}, {q_max}]",
            q=q, q_min=params.q_min, q_max=params.q_max)  # fmt: skip
-    return np.maximum(params.a_q * q - params.b_q, 0.0)
+    return _steam_fuel(q, params)
 
 
 def boiler_fuel(q, params: BoilerParams, committed=True):
@@ -314,7 +359,7 @@ def boiler_fuel(q, params: BoilerParams, committed=True):
     _check(np.logical_not(committed) | ((q >= params.q_min) & (q <= params.q_max)),
            "steam {q} klb/h outside [{q_min}, {q_max}]",
            q=q, q_min=params.q_min, q_max=params.q_max)  # fmt: skip
-    return np.where(committed, params.a_b * q * q + params.b_b * q + params.c_b, 0.0)
+    return _boiler_fuel(q, params, committed)
 
 
 def steam_turbine_power(q_total, params: SteamTurbineParams):
@@ -324,11 +369,7 @@ def steam_turbine_power(q_total, params: SteamTurbineParams):
     branch), reproducing the fitted curve including its discontinuity.
     """
     _check(q_total >= 0.0, "steam flow must be nonnegative, got {q}", q=q_total)
-    return np.where(
-        q_total > params.c_s,
-        params.a1_s * q_total + params.b1_s,
-        params.a2_s * q_total + params.b2_s,
-    )
+    return _turbine_power(q_total, params)
 
 
 def default_config(season: str = "winter") -> MicrogridConfig:

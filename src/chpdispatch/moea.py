@@ -37,6 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -250,16 +251,15 @@ def select_operator(rng: np.random.Generator, archive: EpsilonArchive) -> str:
     """Sample an operator with probability proportional to its current
     archive membership plus one (so an empty archive gives uniform 1/6)."""
     counts = archive.operator_counts()
-    weights = np.array(
-        [counts.get(name, 0) + 1 for name in OPERATOR_NAMES], dtype=float
-    )
-    probs = weights / weights.sum()
-    # The draw of ``rng.choice(len(OPERATOR_NAMES), p=probs)``, without its
-    # argument checks: one uniform against the renormalized cumulative
-    # probabilities.  A test pins the two to the same draws.
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return OPERATOR_NAMES[int(cdf.searchsorted(rng.random(), side="right"))]
+    weights = [float(counts.get(name, 0) + 1) for name in OPERATOR_NAMES]
+    total = sum(weights)  # whole numbers, so exact in any order
+    # The draw of ``rng.choice(len(OPERATOR_NAMES), p=weights / total)``,
+    # without its argument checks: one uniform against the renormalized
+    # cumulative probabilities, through the same sequence of float64
+    # operations on Python floats.  A test pins the two to the same draws.
+    cdf = list(accumulate(w / total for w in weights))
+    x = rng.random()
+    return OPERATOR_NAMES[sum(c / cdf[-1] <= x for c in cdf)]
 
 
 @dataclass(frozen=True)

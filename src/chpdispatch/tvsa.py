@@ -141,10 +141,8 @@ def forced_off_mask(outputs: np.ndarray, config: MicrogridConfig) -> np.ndarray:
     # False that commitment index -1 (always committed) reads.
     off = np.zeros((HOURS_PER_DAY, len(config.commitment_units) + 1), dtype=bool)
     off[:, :-1] = (outputs[:, :, 2 * nc + 1 :] < 0.5).all(axis=0)
-    # Each power, steam and boiler decision's commitment flag, in order.
-    flags = np.concatenate((config.commitment_index[:nc], config.commitment_index))
     mask = np.zeros((outputs.shape[2], HOURS_PER_DAY), dtype=bool)
-    mask[: 2 * nc + 1] = off[:, flags].T
+    mask[: 2 * nc + 1] = off[:, config.static_limits.flag].T
     return mask
 
 

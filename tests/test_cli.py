@@ -66,6 +66,18 @@ class TestTrain:
             outs.append((out.with_suffix(".csv")).read_bytes())
         assert outs[0] == outs[1]
 
+    def test_repeated_calls_in_one_process_keep_their_own_seeds(self, tmp_path, scenario_csv):
+        # main reuses one parser per process; no parsed value may carry over.
+        for name, seeds in (("a", [1, 2]), ("b", [3]), ("c", [])):
+            argv = ["train", "--scenarios", str(scenario_csv), "--nfe", "40", "--population", "20"]
+            argv += [arg for seed in seeds for arg in ("--seed", str(seed))]
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["arguments"]["seeds"] == (seeds or [0])
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "a_seed1.csv", "a_seed2.csv", "b.csv", "c.csv",
+        ]  # fmt: skip
+
     def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["train", "--scenarios", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x")]

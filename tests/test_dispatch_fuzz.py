@@ -7,7 +7,9 @@ random ramp limits, steam capacities and waste thresholds; random initial
 CHP power (units that start off, at a capacity limit or in between); hours
 with zero heat load or a negative real-time price; and network outputs
 pinned to exactly 0 or 1 (the edges of the ramp windows) or to exactly 0.5
-(the commitment threshold)."""
+(the commitment threshold).  On every example the kernel's own outputs
+also pass the range checks of the public curves, which the kernel leaves
+out because its clipping guarantees them."""
 
 from __future__ import annotations
 
@@ -19,7 +21,17 @@ from hypothesis import strategies as st
 
 from chpdispatch.data import SyntheticSpec, generate_synthetic
 from chpdispatch.environment import day_objectives, decision_dim, dispatch
-from chpdispatch.grid_model import default_config
+from chpdispatch.grid_model import (
+    _boiler_fuel,
+    _power_fuel,
+    _steam_fuel,
+    _turbine_power,
+    boiler_fuel,
+    chp_power_fuel,
+    chp_steam_fuel,
+    default_config,
+    steam_turbine_power,
+)
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 
 from conftest import config_to_plain, policy_to_plain, scenario_to_plain
@@ -124,6 +136,26 @@ def pinned_policy(cfg, scenarios, seed, scale, pins):
     return PolicyNetwork.decode(weights, 6, 15, k, norm)
 
 
+def assert_public_curves_accept(d, cfg):
+    """Feed the dispatch ``d`` to the checked public curves: none raises,
+    and each returns its unchecked formula's bits."""
+    units = cfg.chp_stack
+    power, steam = d.power.transpose(2, 0, 1), d.steam.transpose(2, 0, 1)
+    steam_total = sum(steam[1:], steam[0]) + d.boiler_steam
+    pairs = [
+        (chp_power_fuel(power, units), _power_fuel(power, units)),
+        (chp_steam_fuel(steam, units), _steam_fuel(steam, units)),
+        (
+            boiler_fuel(d.boiler_steam, cfg.boiler, committed=d.boiler_on),
+            _boiler_fuel(d.boiler_steam, cfg.boiler, d.boiler_on),
+        ),
+        (steam_turbine_power(steam_total, cfg.steam_turbine), d.st_power),
+        (_turbine_power(steam_total, cfg.steam_turbine), d.st_power),
+    ]
+    for checked, formula in pairs:
+        assert checked.tobytes() == formula.tobytes()
+
+
 @FUZZ
 @given(
     spec=plants,
@@ -139,7 +171,9 @@ def test_kernel_matches_oracle(spec, days, seed, scale, pins):
     policy = pinned_policy(cfg, pool, seed, scale, pins)
 
     u = policy.forward(scenarios.policy_inputs())
-    objectives, violation = day_objectives(dispatch(u, scenarios, cfg))
+    d = dispatch(u, scenarios, cfg)
+    assert_public_curves_accept(d, cfg)
+    objectives, violation = day_objectives(d)
 
     weights = [float(w) for w in policy.weights]
     for s in range(len(scenarios)):

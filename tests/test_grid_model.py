@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chpdispatch.environment import decision_names, dispatch
 from chpdispatch.grid_model import (
@@ -299,6 +301,48 @@ class TestArrayCurves:
             chp_power_fuel(np.array([0.0, 14000.0, 500.0]), loose)
 
 
+@st.composite
+def efficiency_curves(draw):
+    """ChpParams keyword arguments for the efficiency polynomial and power
+    range: either any coefficients, or a parabola whose minimum on the
+    range is barely above zero, where rounding matters most."""
+    p_max = draw(st.floats(1.0, 20000.0))
+    p_min = p_max * draw(st.floats(0.0, 0.99))
+    if draw(st.booleans()):
+        a_c, b_c, c_c = (draw(st.floats(-2.0, 2.0)) for _ in range(3))
+    else:  # c_c (r - vertex)^2 + floor, with the vertex in the range or near it
+        c_c = draw(st.floats(1e-3, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+        vertex = draw(st.floats(p_min / p_max - 0.05, 1.05))
+        floor = draw(st.one_of(st.just(0.0), st.floats(-18.0, -2.0).map(lambda e: 10.0**e)))
+        a_c, b_c = c_c * vertex * vertex + floor, -2.0 * c_c * vertex
+    return dict(a_c=a_c, b_c=b_c, c_c=c_c, p_min=p_min, p_max=p_max)
+
+
+class TestEfficiencyPositiveWhereAccepted:
+    """The dispatch kernel divides by the efficiency without checking it,
+    relying on ChpParams to reject a polynomial that is not strictly
+    positive at every power in [p_min, p_max]."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(curve=efficiency_curves())
+    def test_efficiency_positive_on_a_dense_grid(self, curve):
+        fixed = dict(a_q=1.0, b_q=50.0, ramp_down=-1.0, ramp_up=1.0, q_min=0.0, q_max=1.0)
+        try:
+            params = ChpParams(**curve, **fixed, heating_value=293.0)
+        except ValueError:
+            assume(False)
+        p_min, p_max = params.p_min, params.p_max
+        grid = [np.linspace(p_min, p_max, 4001), [p_min, np.nextafter(p_min, np.inf)]]
+        grid.append([np.nextafter(p_max, -np.inf), p_max])
+        if params.c_c != 0.0:
+            vertex = -params.b_c / (2.0 * params.c_c) * p_max
+            near = np.nextafter(vertex, [-np.inf, np.inf])
+            grid.append([p for p in (near[0], vertex, near[1]) if p_min <= p <= p_max])
+        grid = np.concatenate(grid)
+        efficiency = chp_efficiency(grid, params)
+        assert efficiency.min() > 0.0, grid[efficiency.argmin()]
+
+
 class TestParamValidation:
     def test_power_limits_ordered(self):
         with pytest.raises(ValueError):
@@ -323,6 +367,17 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ChpParams(-2.0, 0.4, 0.2, 1.0, 50.0, 12000.0, 16000.0, -5000.0, 5000.0, 0.0, 153.0, 293.0)
 
+    def test_efficiency_minimum_must_clear_rounding(self):
+        # 1.5 (r - 0.75)^2 plus about 1e-16: positive at the vertex, yet
+        # exactly 0.0 one ulp below it, where a fuel division would fail.
+        curve = dict(a_c=0.8437500000000001, b_c=-2.25, c_c=1.5, p_min=0.0, p_max=1.0)
+        loose = SimpleNamespace(**curve)
+        assert chp_efficiency(0.75, loose) > 0.0
+        assert chp_efficiency(np.nextafter(0.75, 0.0), loose) == 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            ChpParams(**curve, a_q=1.0, b_q=50.0, ramp_down=-1.0, ramp_up=1.0, q_min=0.0,
+                      q_max=1.0, heating_value=293.0)  # fmt: skip
+
     def test_boiler_curve_must_be_nondecreasing(self):
         with pytest.raises(ValueError):
             BoilerParams(a_b=0.0, b_b=-1.0, c_b=3.0, q_min=0.0, q_max=540.0)
@@ -334,6 +389,18 @@ class TestParamValidation:
     def test_emission_threshold_above_one(self):
         with pytest.raises(ValueError):
             EmissionParams(116.65, 0.932, 1.0)
+
+    @pytest.mark.parametrize("section", ["chp", "boiler"])
+    def test_config_takes_only_validated_params(self, section):
+        # The dispatch kernel evaluates the fitted formulas without range
+        # checks, so it relies on each params class having validated them.
+        loose = {
+            "chp": (CHP1, SimpleNamespace(**dataclasses.asdict(CHP2))),
+            "boiler": SimpleNamespace(**dataclasses.asdict(BOILER)),
+        }
+        name = "chp[1] must be a ChpParams" if section == "chp" else "boiler must be a BoilerParams"
+        with pytest.raises(ValueError, match=re.escape(name) + ", got SimpleNamespace"):
+            dataclasses.replace(CFG, **{section: loose[section]})
 
     def test_winter_forbids_switchable_units(self):
         with pytest.raises(ValueError):
