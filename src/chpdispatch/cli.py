@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import repeat
 from pathlib import Path
@@ -163,8 +162,24 @@ def _parse_reference(text: str) -> list[float]:
     return values
 
 
+def _at_least_one(name: str, value: int | str) -> int:
+    """``value`` as an integer >= 1; rejects anything else, naming ``name``."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return number
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    _at_least_one("--hidden", args.hidden)
+    if args.workers is None:
+        workers = _at_least_one("CHPDISPATCH_WORKERS", os.environ.get("CHPDISPATCH_WORKERS", "1"))
+    else:
+        workers = _at_least_one("--workers", args.workers)
     scenarios_path = Path(args.scenarios)
     scenarios = load_scenarios(scenarios_path)
     config, config_inputs = _resolve_config(args.config)
@@ -181,10 +196,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         bound=args.bound,
     )
 
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("CHPDISPATCH_WORKERS", "1"))
     if workers > 1 and len(seeds) > 1:
+        # Imported here: multiprocessing costs every other command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             archives = list(pool.map(run, repeat(moea_config), repeat(evaluator), seeds))
     else:

@@ -17,6 +17,16 @@ cell's absolute shares sum to one.
 The hour-of-day input is deterministic within a cell and is excluded.
 Decisions a commitment flag forces to zero in every scenario of an hour
 are flagged as empty cells rather than reported as zero variance shares.
+
+Every term, total and share of all 24 hours is computed in whole-array
+passes, with the bits the hour-by-hour, cell-by-cell rule gave.  The
+moments stay one ``np.cov`` per hour: a stacked product is another
+reduction, with other bits.  In per-scenario mode the gradient is taken
+over whole hours at up to :data:`GRADIENT_ROWS` rows per call.  On 180
+days the 24 hours' gradients took 4.4-4.7 ms in calls of 5 hours, against
+5.2-5.4 ms hour by hour and 7.6-7.9 ms in one call over all 4320 rows,
+whose (N, k, 15) temporaries outgrow the 2 MB L2 cache (x86 Xeon, one
+BLAS thread; at 7 days one call took 0.2 ms against 1.1 ms).
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ N_SIGNALS = len(OBSERVABLE_SIGNALS)
 
 GRADIENT_AT_MEAN = "mean"
 GRADIENT_PER_SCENARIO = "per_scenario"
+#: Most rows per ``input_gradient`` call in per-scenario mode, taken in whole hours.
+GRADIENT_ROWS = 1024
 
 
 def ensemble_moments(scenarios: Ensemble, hour: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,23 +63,24 @@ def ensemble_moments(scenarios: Ensemble, hour: int) -> tuple[np.ndarray, np.nda
     return mean, np.atleast_2d(cov)
 
 
-def _hour_terms(
-    policy, scenarios: Ensemble, hour: int, gradient_at: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor terms of every decision at one hour: first-order (k, 5) and
-    signed, symmetric, zero-diagonal interactions (k, 5, 5), from the
-    gradient d(decisions)/d(signals) at the chosen evaluation point."""
-    mean, cov = ensemble_moments(scenarios, hour)
+def _terms(policy, scenarios: Ensemble, gradient_at: str) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor terms of every decision at every hour: first-order (24, k, 5)
+    and signed, symmetric, zero-diagonal interactions (24, k, 5, 5), from
+    the gradient d(decisions)/d(signals) at the chosen evaluation point."""
+    moments = [ensemble_moments(scenarios, t) for t in range(HOURS_PER_DAY)]
+    means, covs = np.array([m for m, _ in moments]), np.array([c for _, c in moments])
     if gradient_at == GRADIENT_AT_MEAN:
-        grads = policy.input_gradient(np.append(mean, float(hour)))[:, :N_SIGNALS]
+        grads = policy.input_gradient(np.column_stack([means, np.arange(float(HOURS_PER_DAY))]))
     elif gradient_at == GRADIENT_PER_SCENARIO:
-        rows = scenarios.policy_inputs()[:, hour]
-        grads = np.mean(policy.input_gradient(rows)[:, :, :N_SIGNALS], axis=0)
+        rows, step = scenarios.policy_inputs(), max(1, GRADIENT_ROWS // len(scenarios))
+        hours = range(0, HOURS_PER_DAY, step)
+        grads = np.concatenate([policy.input_gradient(rows[:, t : t + step]).mean(0) for t in hours])
     else:
         raise ValueError(f"gradient_at must be 'mean' or 'per_scenario', got {gradient_at!r}")
-    first = grads * grads * np.diag(cov)
-    second = grads[:, :, None] * grads[:, None, :] * cov
-    second[:, range(N_SIGNALS), range(N_SIGNALS)] = 0.0
+    grads = grads[..., :N_SIGNALS]
+    first = grads * grads * np.diagonal(covs, axis1=1, axis2=2)[:, None]
+    second = grads[..., :, None] * grads[..., None, :] * covs[:, None]
+    second[..., range(N_SIGNALS), range(N_SIGNALS)] = 0.0
     return first, second
 
 
@@ -83,21 +96,30 @@ def decompose(
     Returns the first-order vector over the five signals and the signed,
     symmetric, zero-diagonal interaction matrix.
     """
-    first, second = _hour_terms(policy, scenarios, hour, gradient_at)
-    return first[decision], second[decision]
+    first, second = _terms(policy, scenarios, gradient_at)
+    return first[hour, decision], second[hour, decision]
+
+
+def _shares(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shares of absolute contribution of stacked cells, first (..., 5) and
+    second (..., 5, 5): each first-order term counts once, each pair counts
+    its full (doubled) interaction.  Returns the absolute totals (...) and
+    the signed normalized terms (zeros where the total is zero)."""
+    total = np.abs(first).sum(axis=-1) + np.abs(2.0 * np.triu(second, k=1)).sum(axis=(-2, -1))
+    live = (total != 0.0)[..., None]
+    norm_first = np.divide(first, total[..., None], out=np.zeros_like(first), where=live)
+    norm_second = np.divide(
+        2.0 * second, total[..., None, None], out=np.zeros_like(second), where=live[..., None]
+    )
+    return total, norm_first, norm_second
 
 
 def normalize_cell(
     first: np.ndarray, second: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Shares of absolute contribution: each first-order term counts once,
-    each pair counts its full (doubled) interaction.  Returns the absolute
-    total and the signed normalized terms (zeros when the total is zero)."""
-    upper = np.triu(second, k=1)
-    total = float(np.abs(first).sum() + np.abs(2.0 * upper).sum())
-    if total == 0.0:
-        return 0.0, np.zeros_like(first), np.zeros_like(second)
-    return total, first / total, 2.0 * second / total
+    """The shares (:func:`_shares`) of one cell, with the total as a float."""
+    total, norm_first, norm_second = _shares(first, second)
+    return float(total), norm_first, norm_second
 
 
 @dataclass(frozen=True)
@@ -175,22 +197,18 @@ def build_report(
         else np.zeros((k, HOURS_PER_DAY), dtype=bool)
     )
 
-    cells: dict[tuple[int, int], TvsaCell] = {}
-    for t in range(HOURS_PER_DAY):
-        firsts, seconds = _hour_terms(policy, scenarios, t, gradient_at)
-        variances = outputs[:, t, :].var(axis=0, ddof=1)
-        for d in range(k):
-            first, second = firsts[d], seconds[d]
-            total, norm_first, norm_second = normalize_cell(first, second)
-            cells[(d, t)] = TvsaCell(
-                first_order=first,
-                second_order=second,
-                empirical_variance=float(variances[d]),
-                forced_off=bool(off[d, t]),
-                total_abs=total,
-                normalized_first=norm_first,
-                normalized_second=norm_second,
-            )
+    first, second = _terms(policy, scenarios, gradient_at)
+    totals, norm_first, norm_second = _shares(first, second)
+    variances = outputs.var(axis=0, ddof=1).tolist()
+    totals, off = totals.tolist(), off.tolist()
+    cells = {  # hour outer, decision inner: the order export_report_csv writes
+        (d, t): TvsaCell(
+            first[t, d], second[t, d], variances[t][d], off[d][t], totals[t][d],
+            norm_first[t, d], norm_second[t, d],
+        )  # fmt: skip
+        for t in range(HOURS_PER_DAY)
+        for d in range(k)
+    }
     return TvsaReport(
         decision_labels=tuple(decision_labels),
         input_names=OBSERVABLE_SIGNALS,

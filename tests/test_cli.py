@@ -5,11 +5,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chpdispatch
 from chpdispatch.cli import SIDECAR_KEYS, main
 from chpdispatch.data import SyntheticSpec, generate_synthetic, write_scenarios
 from chpdispatch.grid_model import config_to_dict, default_config, save_config
@@ -139,6 +143,62 @@ class TestTrain:
         assert code == 2
         assert f"bound must be finite and > 0, got {bound}" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--workers", "0", "--workers must be an integer >= 1, got 0"),
+            ("--workers", "-3", "--workers must be an integer >= 1, got -3"),
+            ("--hidden", "-1", "--hidden must be an integer >= 1, got -1"),
+            ("--hidden", "0", "--hidden must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_bad_integer_option_exits_2_naming_it(
+        self, tmp_path, scenario_csv, capsys, option, value, message
+    ):
+        code = main(
+            [
+                "train",
+                "--scenarios", str(scenario_csv),
+                "--seed", "1", "--seed", "2",
+                option, value,
+                "--nfe", "100",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_workers_variable_exits_2_naming_it(
+        self, tmp_path, scenario_csv, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("CHPDISPATCH_WORKERS", "two")
+        code = main(
+            [
+                "train",
+                "--scenarios", str(scenario_csv),
+                "--nfe", "100",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 2
+        assert "CHPDISPATCH_WORKERS must be an integer >= 1, got 'two'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # Only a multi-worker train needs the process pool; every other
+        # command would pay for importing multiprocessing at start-up.
+        src = str(Path(chpdispatch.__file__).parents[1])
+        probe = "import sys, chpdispatch.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
     def test_reads_inputs_once(self, tmp_path, scenario_csv, monkeypatch):
         import chpdispatch.cli as cli
