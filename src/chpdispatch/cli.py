@@ -125,8 +125,9 @@ def _sidecar_path(archive_csv: Path) -> Path:
 
 
 def _load_sidecar(archive_csv: Path) -> dict:
-    """The sidecar of an archive CSV; rejects one that is not a JSON object
-    or lacks a key that ``merge``, ``evaluate``, ``tvsa`` or ``report`` reads."""
+    """The sidecar of an archive CSV; rejects one that is not a JSON object,
+    lacks a key that ``merge``, ``evaluate``, ``tvsa`` or ``report`` reads,
+    or holds epsilons that are not a list of positive finite numbers."""
     sidecar = _sidecar_path(archive_csv)
     if not sidecar.exists():
         raise FileNotFoundError(f"archive sidecar not found: {sidecar}")
@@ -139,6 +140,10 @@ def _load_sidecar(archive_csv: Path) -> dict:
     for key in SIDECAR_KEYS:
         if key not in doc:
             raise ValueError(f"malformed archive sidecar {sidecar}: missing {key!r}")
+    try:
+        validate_epsilons(doc["epsilons"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed archive sidecar {sidecar}: epsilons: {exc}") from exc
     return doc
 
 
@@ -388,8 +393,6 @@ def _cmd_tvsa(args: argparse.Namespace) -> int:
     started = time.monotonic()
     scenarios_path = Path(args.scenarios)
     scenarios = load_scenarios(scenarios_path)
-    if len(scenarios) < 2:
-        raise ValueError("TVSA needs at least 2 scenarios")
     policy, config, inputs = _policy_from_args(args)
     _check_architecture(policy, config)
 

@@ -114,14 +114,10 @@ def _parse_prices(cells: Sequence[str]) -> list[float]:
         return [float(Decimal(text).scaleb(-3)) for text in cells]
 
 
-def _parse_price_mwh(text: str) -> float:
-    return _parse_prices([text])[0]
-
-
 def _format_price_mwh(price_kwh: float) -> str:
     price_kwh = float(price_kwh)
     short = repr(price_kwh * 1000.0)
-    if _parse_price_mwh(short) == price_kwh:
+    if _parse_prices([short])[0] == price_kwh:
         return short
     with localcontext() as ctx:
         ctx.prec = _PRICE_DIGITS
@@ -403,28 +399,6 @@ class SyntheticSpec:
         if self.overrides:
             base.update(self.overrides)
         return base
-
-
-def synthetic_spec_to_dict(spec: SyntheticSpec) -> dict:
-    doc: dict = {"seed": spec.seed, "days": spec.days, "season": spec.season}
-    if spec.overrides:
-        doc["overrides"] = {
-            name: {"mean": s.mean, "amplitude": s.amplitude, "phase": s.phase, "noise": s.noise}
-            for name, s in spec.overrides.items()
-        }
-    return doc
-
-
-def synthetic_spec_from_dict(doc: Mapping) -> SyntheticSpec:
-    overrides = None
-    if "overrides" in doc:
-        overrides = {name: SignalSpec(**params) for name, params in doc["overrides"].items()}
-    return SyntheticSpec(
-        seed=int(doc["seed"]),
-        days=int(doc["days"]),
-        season=doc.get("season", "winter"),
-        overrides=overrides,
-    )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Ensemble:

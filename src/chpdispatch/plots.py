@@ -4,7 +4,8 @@ Plots are assembled as plain SVG text with fixed formatting so identical
 inputs always produce byte-identical files (no plotting library state or
 embedded timestamps).  Two figures are provided: pairwise scatter panels
 of an archive's objective space, and per-decision stacked bars of the
-sensitivity shares with positive and negative interactions split out.
+sensitivity shares with positive and negative interactions split out,
+read hour by hour from one decision's column of the report's arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tvsa import N_SIGNALS, TvsaReport
+from .tvsa import PAIRS, TvsaReport
 
 _SIGNAL_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd")
 _PAIR_COLORS = (
@@ -140,14 +141,6 @@ def _star(cx: float, cy: float, r: float, fill: str) -> str:
     return f'<polygon points="{" ".join(points)}" fill="{fill}"/>'
 
 
-def _pair_labels(input_names: Sequence[str]) -> list[tuple[int, int, str]]:
-    pairs = []
-    for a in range(N_SIGNALS):
-        for b in range(a + 1, N_SIGNALS):
-            pairs.append((a, b, f"{input_names[a]}*{input_names[b]}"))
-    return pairs
-
-
 def tvsa_stacked_bars_svg(report: TvsaReport, decision: int) -> str:
     """Hourly stacked bars of one decision's variance shares.
 
@@ -156,7 +149,9 @@ def tvsa_stacked_bars_svg(report: TvsaReport, decision: int) -> str:
     (unit forced off, or nothing to attribute) stay blank.
     """
     names = report.input_names
-    pairs = _pair_labels(names)
+    empty = report.empty[:, decision].tolist()
+    norm_first = report.normalized_first[:, decision].tolist()
+    norm_second = report.normalized_second[:, decision, PAIRS[0], PAIRS[1]].tolist()
     panel_w, panel_h = 540.0, 110.0
     left, top, vgap = 60.0, 34.0, 44.0
     legend_w = 190.0
@@ -204,23 +199,17 @@ def tvsa_stacked_bars_svg(report: TvsaReport, decision: int) -> str:
             f'font-size="9">0</text>'
         )
         for t in range(24):
-            cell = report.cells[(decision, t)]
-            x = left + t * bar_w
-            if cell.degenerate:
+            if empty[t]:
                 continue
             if panel_index == 0:
-                values = [
-                    (_SIGNAL_COLORS[a], float(cell.normalized_first[a]))
-                    for a in range(N_SIGNALS)
-                ]
+                values = list(zip(_SIGNAL_COLORS, norm_first[t]))
             else:
                 want_positive = panel_index == 1
                 values = []
-                for color, (a, b, _) in zip(_PAIR_COLORS, pairs):
-                    share = float(cell.normalized_second[a, b])
+                for color, share in zip(_PAIR_COLORS, norm_second[t]):
                     if (share > 0.0) == want_positive and share != 0.0:
                         values.append((color, abs(share)))
-            stack(values, x, y_base)
+            stack(values, left + t * bar_w, y_base)
         for t in (0, 6, 12, 18, 23):
             parts.append(
                 f'<text x="{_fmt(left + (t + 0.5) * bar_w)}" y="{_fmt(y_base + 12)}" '
@@ -238,12 +227,13 @@ def tvsa_stacked_bars_svg(report: TvsaReport, decision: int) -> str:
         )
         ly += 15.0
     ly += 6.0
-    for color, (_, _, label) in zip(_PAIR_COLORS, pairs):
+    for color, a, b in zip(_PAIR_COLORS, *PAIRS):
         parts.append(
             f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-size="9">{label}</text>'
+            f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-size="9">'
+            f"{names[a]}*{names[b]}</text>"
         )
         ly += 15.0
     parts.append("</svg>")

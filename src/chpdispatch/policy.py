@@ -156,7 +156,10 @@ def forward_columns(layers, x: np.ndarray, workspace=None) -> np.ndarray:
 @dataclass(frozen=True)
 class PolicyNetwork:
     """Immutable policy: weights plus the input scaling they were trained
-    with.  ``forward`` and ``input_gradient`` are safe to call concurrently.
+    with, built as ``PolicyNetwork(input_dim, hidden_dim, output_dim,
+    weights, normalization)``; ``weights`` is a flat genome (see
+    :func:`split_genome`), copied and frozen.  ``forward`` and
+    ``input_gradient`` are safe to call concurrently.
     """
 
     input_dim: int
@@ -209,27 +212,6 @@ class PolicyNetwork:
         d_out = out * (1.0 - out)
         jac = (d_out * w2) @ (d_hidden * w1) / np.asarray(self.normalization.scales)
         return jac.reshape(raw.shape[:-1] + (self.output_dim, self.input_dim))
-
-    def encode(self) -> np.ndarray:
-        """Flat genome copy; :meth:`decode` is its exact inverse."""
-        return self.weights.copy()
-
-    @classmethod
-    def decode(
-        cls,
-        flat: np.ndarray,
-        input_dim: int,
-        hidden_dim: int,
-        output_dim: int,
-        normalization: InputNormalization,
-    ) -> "PolicyNetwork":
-        return cls(
-            input_dim=input_dim,
-            hidden_dim=hidden_dim,
-            output_dim=output_dim,
-            weights=flat,
-            normalization=normalization,
-        )
 
 
 def save_policy(net: PolicyNetwork, path: str | Path) -> None:

@@ -19,8 +19,9 @@ Decisions a commitment flag forces to zero in every scenario of an hour
 are flagged as empty cells rather than reported as zero variance shares.
 
 Every term, total and share of all 24 hours is computed in whole-array
-passes, with the bits the hour-by-hour, cell-by-cell rule gave.  The
-moments stay one ``np.cov`` per hour: a stacked product is another
+passes, with the bits the hour-by-hour, cell-by-cell rule gave, and the
+report (:class:`TvsaReport`) is those arrays, indexed ``[hour, decision]``.
+The moments stay one ``np.cov`` per hour: a stacked product is another
 reduction, with other bits.  In per-scenario mode the gradient is taken
 over whole hours at up to :data:`GRADIENT_ROWS` rows per call.  On 180
 days the 24 hours' gradients took 4.4-4.7 ms in calls of 5 hours, against
@@ -45,6 +46,8 @@ from .environment import HOURS_PER_DAY, OBSERVABLE_SIGNALS, Ensemble, decision_n
 from .grid_model import MicrogridConfig
 
 N_SIGNALS = len(OBSERVABLE_SIGNALS)
+#: Row and column indices of the interaction pairs a < b, in report order.
+PAIRS = tuple(tuple(index.tolist()) for index in np.triu_indices(N_SIGNALS, k=1))
 
 GRADIENT_AT_MEAN = "mean"
 GRADIENT_PER_SCENARIO = "per_scenario"
@@ -114,44 +117,28 @@ def _shares(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return total, norm_first, norm_second
 
 
-def normalize_cell(
-    first: np.ndarray, second: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The shares (:func:`_shares`) of one cell, with the total as a float."""
-    total, norm_first, norm_second = _shares(first, second)
-    return float(total), norm_first, norm_second
-
-
 @dataclass(frozen=True)
-class TvsaCell:
-    """One (decision, hour) cell of the report.
+class TvsaReport:
+    """Every cell of the report, as arrays indexed ``[hour, decision]``:
+    (24, k, 5) and (24, k, 5, 5) for the terms and shares, (24, k) for the
+    rest.  ``normalized_second`` holds per-pair shares (already doubled);
+    each cell's matrix is symmetric, so read its upper triangle."""
 
-    ``normalized_second`` holds per-pair shares (already doubled); the
-    matrix is symmetric, so read the upper triangle.
-    """
-
+    decision_labels: tuple[str, ...]
+    input_names: tuple[str, ...]
+    gradient_at: str
     first_order: np.ndarray
     second_order: np.ndarray
-    empirical_variance: float
-    forced_off: bool
-    total_abs: float
+    empirical_variance: np.ndarray
+    forced_off: np.ndarray
+    total_abs: np.ndarray
     normalized_first: np.ndarray
     normalized_second: np.ndarray
 
     @property
-    def degenerate(self) -> bool:
-        return self.forced_off or self.total_abs == 0.0
-
-
-@dataclass(frozen=True)
-class TvsaReport:
-    decision_labels: tuple[str, ...]
-    input_names: tuple[str, ...]
-    gradient_at: str
-    cells: dict[tuple[int, int], TvsaCell]
-
-    def cell(self, decision: int, hour: int) -> TvsaCell:
-        return self.cells[(decision, hour)]
+    def empty(self) -> np.ndarray:
+        """The cells with nothing to report: forced off, or all terms zero."""
+        return self.forced_off | (self.total_abs == 0.0)
 
 
 def forced_off_mask(outputs: np.ndarray, config: MicrogridConfig) -> np.ndarray:
@@ -192,28 +179,24 @@ def build_report(
         raise ValueError("decision label count must match policy outputs")
     outputs = policy.forward(scenarios.policy_inputs())  # (S, 24, k)
     off = (
-        forced_off_mask(outputs, config)
+        forced_off_mask(outputs, config).T
         if config is not None
-        else np.zeros((k, HOURS_PER_DAY), dtype=bool)
+        else np.zeros((HOURS_PER_DAY, k), dtype=bool)
     )
 
     first, second = _terms(policy, scenarios, gradient_at)
     totals, norm_first, norm_second = _shares(first, second)
-    variances = outputs.var(axis=0, ddof=1).tolist()
-    totals, off = totals.tolist(), off.tolist()
-    cells = {  # hour outer, decision inner: the order export_report_csv writes
-        (d, t): TvsaCell(
-            first[t, d], second[t, d], variances[t][d], off[d][t], totals[t][d],
-            norm_first[t, d], norm_second[t, d],
-        )  # fmt: skip
-        for t in range(HOURS_PER_DAY)
-        for d in range(k)
-    }
     return TvsaReport(
         decision_labels=tuple(decision_labels),
         input_names=OBSERVABLE_SIGNALS,
         gradient_at=gradient_at,
-        cells=cells,
+        first_order=first,
+        second_order=second,
+        empirical_variance=outputs.var(axis=0, ddof=1),
+        forced_off=off,
+        total_abs=totals,
+        normalized_first=norm_first,
+        normalized_second=norm_second,
     )
 
 
@@ -227,28 +210,29 @@ def _csv_cell(text: str) -> str:
 
 def _report_rows(report: TvsaReport) -> Iterator[str]:
     """The text of each row of :func:`export_report_csv`, header first."""
-    names = [_csv_cell(name) for name in report.input_names]
-    pairs = [
-        (a, b, _csv_cell(f"{report.input_names[a]}*{report.input_names[b]}"))
-        for a in range(N_SIGNALS)
-        for b in range(a + 1, N_SIGNALS)
-    ]
+    inputs = report.input_names
+    names = [_csv_cell(name) for name in inputs]
+    pairs = [_csv_cell(f"{inputs[a]}*{inputs[b]}") for a, b in zip(*PAIRS)]
     labels = [_csv_cell(label) for label in report.decision_labels]
     yield "decision,hour,term_type,inputs,raw,normalized"
-    for (d, t), cell in report.cells.items():
-        head = f"{labels[d]},{t}"
-        if cell.degenerate:
-            yield f"{head},empty,,0.0,0.0"
-            continue
-        first, norm_first = cell.first_order.tolist(), cell.normalized_first.tolist()
-        for a in range(N_SIGNALS):
-            yield f"{head},first,{names[a]},{first[a]!r},{norm_first[a]!r}"
-        second, norm_second = cell.second_order.tolist(), cell.normalized_second.tolist()
-        for a, b, inputs in pairs:
-            pair_total = 2.0 * second[a][b]
-            if pair_total != 0.0:
-                term = "second_pos" if pair_total > 0.0 else "second_neg"
-                yield f"{head},{term},{inputs},{pair_total!r},{norm_second[a][b]!r}"
+    arrays = (
+        report.empty, report.first_order, report.normalized_first,
+        report.second_order[..., PAIRS[0], PAIRS[1]],
+        report.normalized_second[..., PAIRS[0], PAIRS[1]],
+    )  # fmt: skip
+    for t, hour in enumerate(zip(*(array.tolist() for array in arrays))):
+        for label, empty, first, norm_first, second, norm_second in zip(labels, *hour):
+            head = f"{label},{t}"
+            if empty:
+                yield f"{head},empty,,0.0,0.0"
+                continue
+            for name, term, share in zip(names, first, norm_first):
+                yield f"{head},first,{name},{term!r},{share!r}"
+            for name, pair, share in zip(pairs, second, norm_second):
+                pair_total = 2.0 * pair
+                if pair_total != 0.0:
+                    term = "second_pos" if pair_total > 0.0 else "second_neg"
+                    yield f"{head},{term},{name},{pair_total!r},{share!r}"
 
 
 def export_report_csv(report: TvsaReport, path: str | Path) -> str:

@@ -53,7 +53,7 @@ def make_policy(
     k = decision_dim(config)
     norm = InputNormalization.from_scenarios(scenarios)
     n = weight_count(6, hidden_dim, k)
-    return PolicyNetwork.decode(rng.uniform(-scale, scale, n), 6, hidden_dim, k, norm)
+    return PolicyNetwork(6, hidden_dim, k, rng.uniform(-scale, scale, n), norm)
 
 
 def constant_scenario(

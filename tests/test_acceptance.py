@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def test_criterion_4_gradient_correctness():
         offsets = tuple(float(o) for o in rng.uniform(-10.0, 10.0, 6))
         norm = InputNormalization(offsets=offsets, scales=scales)
         n = weight_count(6, hidden, k)
-        net = PolicyNetwork.decode(rng.uniform(-3.0, 3.0, n), 6, hidden, k, norm)
+        net = PolicyNetwork(6, hidden, k, rng.uniform(-3.0, 3.0, n), norm)
         raw = np.array(offsets) + np.array(scales) * rng.uniform(0.0, 1.0, 6)
         analytic = net.input_gradient(raw)
         numeric = np.zeros_like(analytic)
@@ -251,10 +252,15 @@ def test_criterion_5_tvsa_exactness():
     scenarios = ensemble(rows.tolist())
     norm = InputNormalization.from_scenarios(scenarios)
     weights = rng.uniform(-0.4, 0.4, weight_count(6, 15, 5))
-    policy = PolicyNetwork.decode(weights, 6, 15, 5, norm)
+    policy = PolicyNetwork(6, 15, 5, weights, norm)
     report = build_report(policy, scenarios)
     worst_rel = 0.0
-    for cell in report.cells.values():
+    fields = (
+        "first_order", "second_order", "empirical_variance",
+        "normalized_first", "normalized_second",
+    )  # fmt: skip
+    for t, d in np.ndindex(report.empirical_variance.shape):
+        cell = SimpleNamespace(**{name: getattr(report, name)[t, d] for name in fields})
         total = float(cell.first_order.sum() + 2.0 * np.triu(cell.second_order, 1).sum())
         assert cell.empirical_variance > 0.0
         rel = abs(total - cell.empirical_variance) / cell.empirical_variance

@@ -345,7 +345,7 @@ class TestEvaluate:
             norm = InputNormalization.from_scenarios(load_scenarios(csv_path))
             artifact = tmp_path / f"policy{k}.json"
             save_policy(
-                PolicyNetwork.decode(np.zeros(weight_count(6, 15, k)), 6, 15, k, norm), artifact
+                PolicyNetwork(6, 15, k, np.zeros(weight_count(6, 15, k)), norm), artifact
             )
             assert main(
                 [
@@ -364,7 +364,7 @@ class TestEvaluate:
 
         scenarios = load_scenarios(scenario_csv)
         norm = InputNormalization.from_scenarios(scenarios)
-        policy = PolicyNetwork.decode(np.zeros(weight_count(6, 15, 5)), 6, 15, 5, norm)
+        policy = PolicyNetwork(6, 15, 5, np.zeros(weight_count(6, 15, 5)), norm)
         artifact = tmp_path / "policy.json"
         save_policy(policy, artifact)
         out = tmp_path / "eval"
@@ -385,7 +385,7 @@ class TestEvaluate:
         write_scenarios(constant_scenario(), fixture)
         scenarios = load_scenarios(fixture)
         norm = InputNormalization.from_scenarios(scenarios)
-        policy = PolicyNetwork.decode(np.zeros(weight_count(6, 15, 5)), 6, 15, 5, norm)
+        policy = PolicyNetwork(6, 15, 5, np.zeros(weight_count(6, 15, 5)), norm)
         artifact = tmp_path / "zero.json"
         save_policy(policy, artifact)
         out = tmp_path / "eval"
@@ -420,7 +420,7 @@ class TestEvaluate:
 
         scenarios = load_scenarios(scenario_csv)
         norm = InputNormalization.from_scenarios(scenarios)
-        policy = PolicyNetwork.decode(np.zeros(weight_count(6, 15, 7)), 6, 15, 7, norm)
+        policy = PolicyNetwork(6, 15, 7, np.zeros(weight_count(6, 15, 7)), norm)
         artifact = tmp_path / "policy7.json"
         save_policy(policy, artifact)
         code = main(
@@ -510,7 +510,7 @@ class TestPolicySourceValidation:
         """Both sources or neither: exit 2 before any input is read."""
         artifact = tmp_path / "policy.json"
         norm = InputNormalization(offsets=(0.0,) * 6, scales=(1.0,) * 6)
-        save_policy(PolicyNetwork.decode(np.zeros(185), 6, 15, 5, norm), artifact)
+        save_policy(PolicyNetwork(6, 15, 5, np.zeros(185), norm), artifact)
         given = ["--archive", str(trained), "--policy", str(artifact)] if sources == "both" else []
         out = tmp_path / "out"
         assert self.run(command, scenario_csv, given, out) == 2
@@ -522,7 +522,7 @@ class TestPolicySourceValidation:
     ):
         artifact = tmp_path / "policy.json"
         norm = InputNormalization(offsets=(0.0,) * 6, scales=(1.0,) * 6)
-        save_policy(PolicyNetwork.decode(np.zeros(185), 6, 15, 5, norm), artifact)
+        save_policy(PolicyNetwork(6, 15, 5, np.zeros(185), norm), artifact)
         doc = json.loads(artifact.read_text())
         doc["weights"][3] = float("nan")
         artifact.write_text(json.dumps(doc))
@@ -622,6 +622,28 @@ class TestSidecarKeys:
         sidecar.write_text(text)
         assert main(["report", "--archive", str(archive), "--out", str(tmp_path / "r")]) == 2
         assert f"error: malformed archive sidecar {sidecar}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilons", [None, 5, ["a"]])
+    @pytest.mark.parametrize("command", ["report", "evaluate", "tvsa", "merge"])
+    def test_mistyped_epsilons_exit_2_as_malformed(
+        self, tmp_path, scenario_csv, trained, capsys, command, epsilons
+    ):
+        archive = copy_archive(
+            trained, tmp_path, edit_sidecar=lambda doc: doc.update(epsilons=epsilons)
+        )
+        out = tmp_path / "out"
+        argv = {
+            "report": ["--archive", str(archive)],
+            "evaluate": ["--scenarios", str(scenario_csv), "--archive", str(archive)],
+            "tvsa": ["--scenarios", str(scenario_csv), "--archive", str(archive)],
+            "merge": [str(trained), str(archive)],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        sidecar = archive.with_suffix(".json")
+        assert f"error: malformed archive sidecar {sidecar}: epsilons: " in (
+            capsys.readouterr().err
+        )
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 class TestReport:

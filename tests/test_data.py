@@ -23,12 +23,10 @@ from chpdispatch.data import (
     SyntheticSpec,
     _day_labels,
     _format_price_mwh,
-    _parse_price_mwh,
+    _parse_prices,
     generate_synthetic,
     load_scenarios,
     split_by_season,
-    synthetic_spec_from_dict,
-    synthetic_spec_to_dict,
     write_scenarios,
 )
 from chpdispatch.environment import HOURLY_FIELDS, HOURS_PER_DAY, Ensemble
@@ -99,13 +97,6 @@ class TestSyntheticGenerator:
         assert winter.labels[0].startswith("2019-01")
         assert summer.labels[0].startswith("2019-07")
 
-    def test_spec_dict_round_trip(self):
-        spec = SyntheticSpec(
-            seed=4, days=6, season="summer",
-            overrides={"temperature": SignalSpec(20.0, 3.0, 9.0, 0.5)},
-        )
-        assert synthetic_spec_from_dict(synthetic_spec_to_dict(spec)) == spec
-
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(seed=1, days=0)
@@ -128,11 +119,11 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(3)
         values = list(rng.uniform(-0.2, 0.2, 20000)) + [0.0, 0.057, 0.1 + 2**-54]
         for p in values:
-            assert _parse_price_mwh(_format_price_mwh(float(p))) == float(p)
+            assert _parse_prices([_format_price_mwh(float(p))])[0] == float(p)
 
     def test_human_entered_prices_load_naturally(self, tmp_path):
-        assert _parse_price_mwh("57.3") == pytest.approx(0.0573, abs=1e-15)
-        assert _parse_price_mwh("-12.5") == -0.0125
+        assert _parse_prices(["57.3"])[0] == pytest.approx(0.0573, abs=1e-15)
+        assert _parse_prices(["-12.5"])[0] == -0.0125
 
 
 def load_cell_by_cell(path) -> Ensemble:

@@ -133,7 +133,7 @@ def pinned_policy(cfg, scenarios, seed, scale, pins):
         elif level is not None:
             weights[bias] = SATURATING_BIAS if level else -SATURATING_BIAS
     norm = InputNormalization.from_scenarios(scenarios)
-    return PolicyNetwork.decode(weights, 6, 15, k, norm)
+    return PolicyNetwork(6, 15, k, weights, norm)
 
 
 def assert_public_curves_accept(d, cfg):

@@ -323,9 +323,8 @@ class TestHeatReliability:
 class TestSimulateDay:
     def test_constant_scenario_zero_policy_is_stationary(self, winter_config):
         scenario = constant_scenario()
-        policy = PolicyNetwork.decode(
-            np.zeros(weight_count(6, 15, 5)), 6, 15, 5,
-            InputNormalization.from_scenarios(scenario),
+        policy = PolicyNetwork(
+            6, 15, 5, np.zeros(weight_count(6, 15, 5)), InputNormalization.from_scenarios(scenario)
         )
         day = simulate_day(policy, scenario, winter_config)
         d = day.trace
@@ -357,9 +356,8 @@ class TestSimulateDay:
         boiler = BoilerParams(a_b=0.0009, b_b=1.0968, c_b=3.7742, q_min=0.0, q_max=0.0)
         cfg = dataclasses.replace(cfg, chp=chp, boiler=boiler)
         scenario = constant_scenario(heat_load=0.0)
-        policy = PolicyNetwork.decode(
-            np.zeros(weight_count(6, 15, 5)), 6, 15, 5,
-            InputNormalization.from_scenarios(scenario),
+        policy = PolicyNetwork(
+            6, 15, 5, np.zeros(weight_count(6, 15, 5)), InputNormalization.from_scenarios(scenario)
         )
         day = simulate_day(policy, scenario, cfg)
         assert day.objectives[2] == 0.0
@@ -369,9 +367,8 @@ class TestSimulateDay:
     def test_scenario_supplied_initial_action_anchors_hour_zero(self):
         cfg = tight_ramp_config()
         scenario = constant_scenario(init_power=[12000.0, 16000.0])
-        policy = PolicyNetwork.decode(
-            np.zeros(weight_count(6, 15, 5)), 6, 15, 5,
-            InputNormalization.from_scenarios(scenario),
+        policy = PolicyNetwork(
+            6, 15, 5, np.zeros(weight_count(6, 15, 5)), InputNormalization.from_scenarios(scenario)
         )
         day = simulate_day(policy, scenario, cfg)
         first = day.trace.power[0, 0]
@@ -415,7 +412,7 @@ class TestSimulateDay:
 
 def _evaluate(policy, scenarios, config):
     evaluator = BatchEvaluator(scenarios, config, policy.normalization, policy.hidden_dim)
-    return evaluator(policy.encode())
+    return evaluator(policy.weights)
 
 
 class TestEvaluatePolicy:
@@ -450,7 +447,7 @@ class TestEvaluatePolicy:
     def test_keep_traces(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(6), winter_config, winter_scenarios)
         evaluator = BatchEvaluator(winter_scenarios[:2], winter_config, policy.normalization)
-        d = dispatch(evaluator.decisions(policy.encode()), evaluator.days, winter_config)
+        d = dispatch(evaluator.decisions(policy.weights), evaluator.days, winter_config)
         assert all(field.shape[:2] == (2, 24) for field in d)
         single = simulate_day(policy, winter_scenarios[1], winter_config).trace
         for both, one in zip(d, single):
@@ -477,7 +474,7 @@ class TestBatchEvaluator:
         for scale in (0.5, 3.0, 10.0):
             genome = rng.uniform(-scale, scale, evaluator.genome_length)
             got = evaluator.decisions(genome)
-            want = PolicyNetwork.decode(genome, 6, 15, k, norm).forward(raw)
+            want = PolicyNetwork(6, 15, k, genome, norm).forward(raw)
             assert got.shape == want.shape == (days, 24, k)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -554,7 +551,7 @@ class TestWorkspace:
         assert k > 3
         raw = summer_scenarios.policy_inputs()
         for genome in np.random.default_rng(66).uniform(-3.0, 3.0, (3, evaluator.genome_length)):
-            want = PolicyNetwork.decode(genome, 6, 3, k, norm).forward(raw)
+            want = PolicyNetwork(6, 3, k, genome, norm).forward(raw)
             assert evaluator.decisions(genome).tobytes() == want.tobytes()
 
     def test_decisions_view_lasts_until_the_next_call(self, winter_config, winter_scenarios):

@@ -24,15 +24,15 @@ IDENTITY_NORM = InputNormalization(offsets=(0.0,) * 6, scales=(1.0,) * 6)
 
 def random_net(rng, input_dim=6, hidden=15, out=5, scale=3.0, norm=None):
     n = weight_count(input_dim, hidden, out)
-    return PolicyNetwork.decode(
-        rng.uniform(-scale, scale, n), input_dim, hidden, out,
+    return PolicyNetwork(
+        input_dim, hidden, out, rng.uniform(-scale, scale, n),
         norm or InputNormalization(offsets=(0.0,) * input_dim, scales=(1.0,) * input_dim),
-    )
+    )  # fmt: skip
 
 
 class TestForward:
     def test_zero_weights_give_half_everywhere(self):
-        net = PolicyNetwork.decode(np.zeros(weight_count(6, 15, 5)), 6, 15, 5, IDENTITY_NORM)
+        net = PolicyNetwork(6, 15, 5, np.zeros(weight_count(6, 15, 5)), IDENTITY_NORM)
         u = net.forward(np.array([3.0, -1.0, 200.0, 9.0, 0.04, 12.0]))
         assert np.array_equal(u, np.full(5, 0.5))
 
@@ -41,7 +41,7 @@ class TestForward:
         n = weight_count(6, 15, 5)
         w = np.zeros(n)
         w[-5] = 10.0  # bias of output 0
-        net = PolicyNetwork.decode(w, 6, 15, 5, IDENTITY_NORM)
+        net = PolicyNetwork(6, 15, 5, w, IDENTITY_NORM)
         u = net.forward(np.zeros(6))
         assert u[0] == pytest.approx(0.9999546021312976, abs=1e-12)
         assert np.all(u[1:] == 0.5)
@@ -63,7 +63,7 @@ class TestForward:
     def test_finite_at_search_box_corners(self):
         n = weight_count(6, 15, 5)
         for sign in (1.0, -1.0):
-            net = PolicyNetwork.decode(np.full(n, sign * 10.0), 6, 15, 5, IDENTITY_NORM)
+            net = PolicyNetwork(6, 15, 5, np.full(n, sign * 10.0), IDENTITY_NORM)
             u = net.forward(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
             g = net.input_gradient(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
             assert np.all(np.isfinite(u)) and np.all(np.isfinite(g))
@@ -100,13 +100,13 @@ class TestEncodeDecode:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(12)
         net = random_net(rng)
-        clone = PolicyNetwork.decode(net.encode(), 6, 15, 5, net.normalization)
+        clone = PolicyNetwork(6, 15, 5, net.weights, net.normalization)
         assert np.array_equal(clone.weights, net.weights)
         x = rng.uniform(-2, 2, 6)
         assert np.array_equal(clone.forward(x), net.forward(x))
 
     def test_zero_vector_decodes_to_zero_net(self):
-        net = PolicyNetwork.decode(np.zeros(weight_count(6, 15, 5)), 6, 15, 5, IDENTITY_NORM)
+        net = PolicyNetwork(6, 15, 5, np.zeros(weight_count(6, 15, 5)), IDENTITY_NORM)
         assert np.all(net.weights == 0.0)
 
     def test_winter_architecture_length(self):
@@ -114,17 +114,17 @@ class TestEncodeDecode:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"expected 185 weights, got \(184,\)"):
-            PolicyNetwork.decode(np.zeros(184), 6, 15, 5, IDENTITY_NORM)
+            PolicyNetwork(6, 15, 5, np.zeros(184), IDENTITY_NORM)
 
     @pytest.mark.parametrize("index, value", [(3, math.nan), (0, math.inf), (184, -math.inf)])
     def test_non_finite_weight_rejected_by_index(self, index, value):
         w = np.zeros(185)
         w[index] = value
         with pytest.raises(ValueError, match=rf"weights\[{index}\] must be finite, got {value}"):
-            PolicyNetwork.decode(w, 6, 15, 5, IDENTITY_NORM)
+            PolicyNetwork(6, 15, 5, w, IDENTITY_NORM)
 
     def test_weights_are_immutable(self):
-        net = PolicyNetwork.decode(np.zeros(185), 6, 15, 5, IDENTITY_NORM)
+        net = PolicyNetwork(6, 15, 5, np.zeros(185), IDENTITY_NORM)
         with pytest.raises(ValueError):
             net.weights[0] = 1.0
 
@@ -148,7 +148,7 @@ class TestInputGradient:
         n = weight_count(6, 15, 5)
         w = np.zeros(n)
         w[: 6 * 15 + 15] = np.random.default_rng(3).uniform(-2, 2, 6 * 15 + 15)
-        net = PolicyNetwork.decode(w, 6, 15, 5, IDENTITY_NORM)
+        net = PolicyNetwork(6, 15, 5, w, IDENTITY_NORM)
         assert np.array_equal(net.input_gradient(np.zeros(6)), np.zeros((5, 6)))
 
     def test_matches_finite_differences(self):
@@ -167,7 +167,7 @@ class TestInputGradient:
         # 1 input, 1 hidden, 1 output: u = s(w2*s(w1*x + b1) + b2)
         w1, b1, w2, b2 = 0.8, -0.2, 1.5, 0.3
         norm = InputNormalization(offsets=(0.0,), scales=(2.0,))
-        net = PolicyNetwork.decode(np.array([w1, b1, w2, b2]), 1, 1, 1, norm)
+        net = PolicyNetwork(1, 1, 1, np.array([w1, b1, w2, b2]), norm)
         raw = 1.7
         x = raw / 2.0
         z1 = w1 * x + b1
@@ -268,7 +268,7 @@ class TestArtifactIO:
 
     def test_sidecar_and_genome_rebuild_the_policy(self):
         net = random_net(np.random.default_rng(12))
-        rebuilt = policy_from_doc(sidecar_doc(), "archive sidecar", net.encode())
+        rebuilt = policy_from_doc(sidecar_doc(), "archive sidecar", net.weights)
         assert np.array_equal(rebuilt.weights, net.weights)
         assert (rebuilt.input_dim, rebuilt.hidden_dim, rebuilt.output_dim) == (6, 15, 5)
         assert rebuilt.normalization == net.normalization

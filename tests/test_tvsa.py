@@ -14,12 +14,12 @@ from chpdispatch.environment import OBSERVABLE_SIGNALS
 from chpdispatch.policy import InputNormalization, PolicyNetwork, weight_count
 from chpdispatch.tvsa import (
     TvsaReport,
+    _shares,
     build_report,
     decompose,
     ensemble_moments,
     export_report_csv,
     forced_off_mask,
-    normalize_cell,
 )
 
 from conftest import constant_scenario, make_policy
@@ -93,7 +93,7 @@ class TestDecompose:
         w = np.zeros(n)
         w[: 6 * 15 + 15] = 0.3  # hidden layer only; output weights stay zero
         norm = InputNormalization(offsets=(0.0,) * 6, scales=(1.0,) * 6)
-        policy = PolicyNetwork.decode(w, 6, 15, 5, norm)
+        policy = PolicyNetwork(6, 15, 5, w, norm)
         rng = np.random.default_rng(2)
         rows = rng.normal(0, 1, (6, 5)).tolist()
         first, second = decompose(policy, ensemble(rows), 5, 0)
@@ -148,7 +148,7 @@ class TestDecompose:
 class TestNormalization:
     def test_single_term_normalizes_to_one(self):
         first = np.array([0.7, 0.0, 0.0, 0.0, 0.0])
-        total, norm_first, norm_second = normalize_cell(first, np.zeros((5, 5)))
+        total, norm_first, norm_second = _shares(first, np.zeros((5, 5)))
         assert total == pytest.approx(0.7)
         assert norm_first[0] == pytest.approx(1.0)
         assert np.all(norm_second == 0.0)
@@ -157,29 +157,25 @@ class TestNormalization:
         first = np.array([0.3, 0.0, 0.0, 0.0, 0.0])
         second = np.zeros((5, 5))
         second[0, 1] = second[1, 0] = -0.05  # pair total -0.1
-        total, norm_first, norm_second = normalize_cell(first, second)
+        total, norm_first, norm_second = _shares(first, second)
         assert total == pytest.approx(0.4)
         assert norm_first[0] == pytest.approx(0.75)
         assert norm_second[0, 1] == pytest.approx(-0.25)
 
     def test_zero_cell_flagged(self):
-        total, norm_first, norm_second = normalize_cell(np.zeros(5), np.zeros((5, 5)))
+        total, norm_first, norm_second = _shares(np.zeros(5), np.zeros((5, 5)))
         assert total == 0.0
         assert np.all(norm_first == 0.0) and np.all(norm_second == 0.0)
 
     def test_absolute_shares_sum_to_one(self, winter_config, winter_scenarios):
         policy = make_policy(np.random.default_rng(7), winter_config, winter_scenarios, scale=3.0)
         report = build_report(policy, winter_scenarios, config=winter_config)
-        checked = 0
-        for cell in report.cells.values():
-            if cell.degenerate:
-                continue
-            total = np.abs(cell.normalized_first).sum() + np.abs(
-                np.triu(cell.normalized_second, 1)
-            ).sum()
-            assert total == pytest.approx(1.0, abs=1e-9)
-            checked += 1
-        assert checked > 0
+        live = ~report.empty
+        totals = np.abs(report.normalized_first).sum(axis=-1) + np.abs(
+            np.triu(report.normalized_second, 1)
+        ).sum(axis=(-2, -1))
+        assert totals[live] == pytest.approx(1.0, abs=1e-9)
+        assert live.any()
 
 
 class TestAffineInvariance:
@@ -192,18 +188,12 @@ class TestAffineInvariance:
         scaled = ensemble(scaled_rows.tolist())
 
         weights = rng.uniform(-2, 2, weight_count(6, 15, 5))
-        p_base = PolicyNetwork.decode(
-            weights, 6, 15, 5, InputNormalization.from_scenarios(base)
-        )
-        p_scaled = PolicyNetwork.decode(
-            weights, 6, 15, 5, InputNormalization.from_scenarios(scaled)
-        )
+        p_base = PolicyNetwork(6, 15, 5, weights, InputNormalization.from_scenarios(base))
+        p_scaled = PolicyNetwork(6, 15, 5, weights, InputNormalization.from_scenarios(scaled))
         r_base = build_report(p_base, base)
         r_scaled = build_report(p_scaled, scaled)
-        for key in r_base.cells:
-            a, b = r_base.cells[key], r_scaled.cells[key]
-            assert np.allclose(a.normalized_first, b.normalized_first, atol=1e-9)
-            assert np.allclose(a.normalized_second, b.normalized_second, atol=1e-9)
+        assert np.allclose(r_base.normalized_first, r_scaled.normalized_first, atol=1e-9)
+        assert np.allclose(r_base.normalized_second, r_scaled.normalized_second, atol=1e-9)
 
 
 class TestForcedOff:
@@ -214,9 +204,7 @@ class TestForcedOff:
         n = weight_count(6, 15, k)
         w = np.zeros(n)
         w[-2:] = -10.0  # commitment output biases: both units off
-        return PolicyNetwork.decode(
-            w, 6, 15, k, InputNormalization.from_scenarios(scenarios)
-        )
+        return PolicyNetwork(6, 15, k, w, InputNormalization.from_scenarios(scenarios))
 
     def test_mask_covers_unit_decisions(self, summer_config, summer_scenarios):
         policy = self._off_policy(summer_config, summer_scenarios)
@@ -255,7 +243,7 @@ class TestForcedOff:
     def test_empty_cells_marked_in_report_and_csv(self, tmp_path, summer_config, summer_scenarios):
         policy = self._off_policy(summer_config, summer_scenarios)
         report = build_report(policy, summer_scenarios, config=summer_config)
-        assert report.cell(1, 0).degenerate
+        assert report.empty[0, 1]
         path = tmp_path / "tvsa.csv"
         export_report_csv(report, path)
         with open(path) as fh:
@@ -290,25 +278,25 @@ def _csv_writer_report(report: TvsaReport) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["decision", "hour", "term_type", "inputs", "raw", "normalized"])
-    for (d, t), cell in report.cells.items():
-        label = report.decision_labels[d]
-        if cell.degenerate:
-            writer.writerow([label, t, "empty", "", repr(0.0), repr(0.0)])
-            continue
-        for a in range(len(names)):
-            writer.writerow(
-                [label, t, "first", names[a], repr(float(cell.first_order[a])),
-                 repr(float(cell.normalized_first[a]))]
-            )  # fmt: skip
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                pair_total = 2.0 * float(cell.second_order[a, b])
-                if pair_total != 0.0:
-                    writer.writerow(
-                        [label, t, "second_pos" if pair_total > 0.0 else "second_neg",
-                         f"{names[a]}*{names[b]}", repr(pair_total),
-                         repr(float(cell.normalized_second[a, b]))]
-                    )  # fmt: skip
+    for t in range(24):
+        for d, label in enumerate(report.decision_labels):
+            if report.empty[t, d]:
+                writer.writerow([label, t, "empty", "", repr(0.0), repr(0.0)])
+                continue
+            for a in range(len(names)):
+                writer.writerow(
+                    [label, t, "first", names[a], repr(float(report.first_order[t, d, a])),
+                     repr(float(report.normalized_first[t, d, a]))]
+                )  # fmt: skip
+            for a in range(len(names)):
+                for b in range(a + 1, len(names)):
+                    pair_total = 2.0 * float(report.second_order[t, d, a, b])
+                    if pair_total != 0.0:
+                        writer.writerow(
+                            [label, t, "second_pos" if pair_total > 0.0 else "second_neg",
+                             f"{names[a]}*{names[b]}", repr(pair_total),
+                             repr(float(report.normalized_second[t, d, a, b]))]
+                        )  # fmt: skip
     return buffer.getvalue().encode()
 
 
@@ -317,7 +305,8 @@ class TestBuildReport:
         policy = make_policy(np.random.default_rng(9), winter_config, winter_scenarios)
         report = build_report(policy, winter_scenarios, config=winter_config)
         assert isinstance(report, TvsaReport)
-        assert len(report.cells) == 5 * 24
+        assert report.first_order.shape == (24, 5, 5)
+        assert report.second_order.shape == (24, 5, 5, 5)
         assert report.decision_labels[0] == "chp1_power"
         assert report.input_names == OBSERVABLE_SIGNALS
         assert report.gradient_at == "mean"
@@ -331,6 +320,6 @@ class TestBuildReport:
         policy = make_policy(np.random.default_rng(11), winter_config, winter_scenarios)
         report = build_report(policy, winter_scenarios, config=winter_config)
         u = policy.forward(winter_scenarios.policy_inputs()[:, 4])[:, 2]
-        assert report.cell(2, 4).empirical_variance == pytest.approx(
+        assert report.empirical_variance[4, 2] == pytest.approx(
             float(np.var(u, ddof=1)), rel=1e-12
         )

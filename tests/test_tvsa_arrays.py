@@ -3,6 +3,9 @@ replaced: every cell of a report keeps its bytes."""
 
 from __future__ import annotations
 
+import csv
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -60,7 +63,7 @@ def _policies(season: str, scenarios):
         off = np.zeros(weight_count(6, 15, k))
         off[-2:] = -10.0  # commitment output biases
         norm = InputNormalization.from_scenarios(scenarios)
-        policies.append(PolicyNetwork.decode(off, 6, 15, k, norm))
+        policies.append(PolicyNetwork(6, 15, k, off, norm))
     return config, policies
 
 
@@ -81,21 +84,19 @@ def test_report_matches_hour_by_hour_reference(
         report = build_report(policy, scenarios, gradient_at=gradient_at, config=config)
         outputs = policy.forward(scenarios.policy_inputs())
         off = forced_off_mask(outputs, config)
-        forced.append(sum(cell.forced_off for cell in report.cells.values()))
+        forced.append(int(report.forced_off.sum()))
         for t in range(24):
             firsts, seconds = _reference_hour_terms(policy, scenarios, t, gradient_at)
             variances = outputs[:, t, :].var(axis=0, ddof=1)
             for d in range(policy.output_dim):
-                cell = report.cell(d, t)
                 total, norm_first, norm_second = _reference_normalize_cell(firsts[d], seconds[d])
-                assert _bits(cell.first_order) == _bits(firsts[d])
-                assert _bits(cell.second_order) == _bits(seconds[d])
-                assert _bits(cell.normalized_first) == _bits(norm_first)
-                assert _bits(cell.normalized_second) == _bits(norm_second)
-                assert type(cell.total_abs) is float and _bits(cell.total_abs) == _bits(total)
-                assert type(cell.empirical_variance) is float
-                assert _bits(cell.empirical_variance) == _bits(variances[d])
-                assert cell.forced_off is bool(off[d, t])
+                assert _bits(report.first_order[t, d]) == _bits(firsts[d])
+                assert _bits(report.second_order[t, d]) == _bits(seconds[d])
+                assert _bits(report.normalized_first[t, d]) == _bits(norm_first)
+                assert _bits(report.normalized_second[t, d]) == _bits(norm_second)
+                assert _bits(report.total_abs[t, d]) == _bits(total)
+                assert _bits(report.empirical_variance[t, d]) == _bits(variances[d])
+                assert report.forced_off[t, d] == bool(off[d, t])
     if season == "summer":
         # chp2's and the boiler's three decisions: off in some hours only
         # under the random policy, and in every hour under the other.
@@ -111,20 +112,25 @@ def test_normalize_cell_matches_reference_on_zero_and_signed_cells():
         second = second + second.T
         np.fill_diagonal(second, 0.0)
         cells.append((first, second))
-    for first, second in cells:
-        got = tvsa.normalize_cell(first, second)
+    got = tvsa._shares(np.array([f for f, _ in cells]), np.array([s for _, s in cells]))
+    for i, (first, second) in enumerate(cells):
         want = _reference_normalize_cell(first, second)
-        assert type(got[0]) is float
-        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        assert [_bits(x[i]) for x in got] == [_bits(x) for x in want]
 
 
 @pytest.mark.parametrize("season", ["summer", "winter"])
-def test_cells_iterate_hour_outer_decision_inner(season):
+def test_cells_iterate_hour_outer_decision_inner(season, tmp_path):
+    # The CSV writes its cells hour outer, decision inner.
     scenarios = _season(season, 7)
     config, policies = _policies(season, scenarios)
     report = build_report(policies[0], scenarios, config=config)
-    k = decision_dim(config)
-    assert list(report.cells) == [(d, t) for t in range(24) for d in range(k)]
+    tvsa.export_report_csv(report, tmp_path / "tvsa.csv")
+    with open(tmp_path / "tvsa.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # One run of rows per cell, so a cell split in two would show twice.
+    cells = [cell for cell, _ in groupby((row["hour"], row["decision"]) for row in rows)]
+    labels = report.decision_labels
+    assert cells == [(str(t), label) for t in range(24) for label in labels]
 
 
 @pytest.mark.parametrize("days", [7, 30])

@@ -126,7 +126,7 @@ def run_all(work: Path) -> None:
         rng = np.random.default_rng(100 + p)
         weights = rng.uniform(-2.0, 2.0, weight_count(6, 15, k))
         artifact = work / f"policy{p}.json"
-        save_policy(PolicyNetwork.decode(weights, 6, 15, k, norm), artifact)
+        save_policy(PolicyNetwork(6, 15, k, weights, norm), artifact)
         source = ["--policy", str(artifact), "--config", str(work / "summer7.plant.json")]
         analyze(work, scenarios, source, f"policy{p}")
 
