@@ -185,11 +185,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
         workers = _at_least_one("CHPDISPATCH_WORKERS", os.environ.get("CHPDISPATCH_WORKERS", "1"))
     else:
         workers = _at_least_one("--workers", args.workers)
+    seeds = args.seed if args.seed else [0]
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {seed}")
+        if seed in seeds[:i]:
+            raise ValueError(f"--seed {seed} is given twice")
     scenarios_path = Path(args.scenarios)
     scenarios = load_scenarios(scenarios_path)
     config, config_inputs = _resolve_config(args.config)
     epsilons = _parse_epsilons(args.epsilons)
-    seeds = args.seed if args.seed else [0]
     normalization = InputNormalization.from_scenarios(scenarios)
     evaluator = BatchEvaluator(scenarios, config, normalization, hidden_dim=args.hidden)
 

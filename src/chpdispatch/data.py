@@ -78,9 +78,6 @@ HIDDEN_COLUMNS = {
 
 PRICE_COLUMNS = frozenset({"price_prior_rt_usd_mwh", "price_rt_usd_mwh"})
 
-WINTER_MONTHS = frozenset({10, 11, 12, 1, 2, 3, 4})
-
-
 class ScenarioLoadError(ValueError):
     """Raised when a scenario file violates the documented schema."""
 
@@ -295,19 +292,6 @@ def write_scenarios(ensemble: Ensemble, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCHEMA)
         writer.writerows(zip(*text))
-
-
-def split_by_season(ensemble: Ensemble) -> tuple[Ensemble, Ensemble]:
-    """October-April days are winter, May-September days are summer."""
-    winter = []
-    for label in ensemble.labels:
-        try:
-            month = date.fromisoformat(label).month
-        except ValueError as exc:
-            raise ValueError(f"unparseable scenario date label {label!r}") from exc
-        winter.append(month in WINTER_MONTHS)
-    mask = np.array(winter, dtype=bool)
-    return ensemble[mask], ensemble[~mask]
 
 
 @dataclass(frozen=True)

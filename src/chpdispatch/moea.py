@@ -26,8 +26,15 @@ population is rebuilt from the archive plus uniformly mutated archive
 copies and resized to max(archive size / injection ratio, the configured
 population size).
 
-Runs are driven by a single seeded generator and a pure evaluation
-callback, so a (config, seed) pair always reproduces its archive exactly.
+The search is an ask/tell object, :class:`Search`, with evaluation kept
+outside it: ``ask`` returns the next genome and its operator tag, and
+``tell`` takes that genome's (objectives, violation).  ``tell`` is the one
+place a result becomes a solution and enters the archive, and one rule
+builds every population, the initial one from an empty archive and each
+restart's from the archive's members.  :func:`run` is the loop of ``ask``,
+the evaluator and ``tell`` until the budget is spent.  A search draws from
+a single seeded generator and evaluation draws nothing, so with a pure
+evaluator a (config, seed) pair always reproduces its archive exactly.
 """
 
 from __future__ import annotations
@@ -348,6 +355,81 @@ def _replace_in_population(
     return index
 
 
+class Search:
+    """One seeded search, driven by ``ask`` and ``tell``.
+
+    ``ask`` returns the next genome to evaluate with its operator tag, and
+    ``tell`` takes that genome's (objectives, violation): it builds the
+    solution and inserts it in the archive, the one place a result enters
+    the search.
+
+    A population is built by one rule, first from the empty archive and
+    then at each restart: the list starts as the archive's members, and
+    ``ask`` draws, without looking at any result, ``um`` copies of random
+    members of that start (uniform genomes when it is empty) until the list
+    holds max(start size / injection ratio, population size) members.  The
+    list then becomes the population; each child comes from the chosen
+    operator's tournaments and variation and replaces a population member.
+    """
+
+    def __init__(self, config: MoeaConfig, seed: int):
+        self.config = config
+        self.rng = np.random.default_rng(seed)
+        self.archive = EpsilonArchive(config.epsilons)
+        self.nfe = 0
+        self._restart()
+
+    def _restart(self) -> None:
+        # The population, or while ``_population`` is a list, the members
+        # being built into one; its first ``_bases`` are the archive's.
+        self._population: _Population | list[Solution] = self.archive.members
+        self._bases = len(self._population)
+        self._target = max(
+            math.ceil(self._bases / self.config.injection_ratio),
+            self.config.population_size,
+        )
+        self._stall = 0
+
+    def ask(self) -> tuple[np.ndarray, str]:
+        """The next genome to evaluate, and its operator tag."""
+        config, rng, population = self.config, self.rng, self._population
+        if not isinstance(population, list):
+            tag = select_operator(rng, self.archive)
+            parents = [
+                _tournament(rng, population, config.tournament_size).genome
+                for _ in range(OPERATOR_ARITY[tag])
+            ]
+            genome = vary(rng, tag, parents, config.bound, config.variation)
+        elif self._bases:
+            tag = "um"
+            base = population[int(rng.integers(self._bases))]
+            genome = um(rng, base.genome, config.bound, config.variation)
+        else:
+            tag = "init"
+            genome = rng.uniform(-config.bound, config.bound, config.genome_length)
+        self._asked = genome, tag
+        return genome, tag
+
+    def tell(self, objectives: Sequence[float], violation: float) -> None:
+        """Take the result of the genome last asked."""
+        config = self.config
+        genome, tag = self._asked
+        child = Solution(genome, np.asarray(objectives, dtype=float), float(violation), tag)
+        key = _key(child, config.epsilons)
+        _, progress = self.archive.insert(child, key)
+        self.nfe += 1
+        if isinstance(self._population, list):
+            self._population.append(child)
+        else:
+            _replace_in_population(self.rng, self._population, child, key)
+            self._stall = 0 if progress else self._stall + 1
+            window = config.restart_window if config.restart_window is not None else self._target
+            if self._stall >= window and self.nfe < config.max_nfe:
+                self._restart()  # drops the old population before the injections arrive
+        if isinstance(self._population, list) and len(self._population) >= self._target:
+            self._population = _Population(self._population, config.epsilons)
+
+
 def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
     """Optimize until the evaluation budget is spent and return the archive.
 
@@ -355,65 +437,11 @@ def run(config: MoeaConfig, evaluator: Evaluator, seed: int) -> EpsilonArchive:
     (objectives, violation); given that, runs replay bit-identically for a
     fixed seed.
     """
-    rng = np.random.default_rng(seed)
-    eps = config.epsilons
-    archive = EpsilonArchive(eps)
-    members: list[Solution] = []
-    nfe = 0
-
-    def evaluate(genome: np.ndarray, tag: str) -> Solution:
-        nonlocal nfe
-        objectives, violation = evaluator(genome)
-        nfe += 1
-        return Solution(
-            genome=genome,
-            objectives=np.asarray(objectives, dtype=float),
-            violation=float(violation),
-            operator_tag=tag,
-        )
-
-    for _ in range(min(config.population_size, config.max_nfe)):
-        sol = evaluate(
-            rng.uniform(-config.bound, config.bound, config.genome_length), "init"
-        )
-        members.append(sol)
-        archive.insert(sol)
-    population = _Population(members, eps)
-
-    stall = 0
-    while nfe < config.max_nfe:
-        name = select_operator(rng, archive)
-        parents = [
-            _tournament(rng, population, config.tournament_size).genome
-            for _ in range(OPERATOR_ARITY[name])
-        ]
-        child = evaluate(vary(rng, name, parents, config.bound, config.variation), name)
-        key = _key(child, eps)
-        _, progress = archive.insert(child, key)
-        _replace_in_population(rng, population, child, key)
-        stall = 0 if progress else stall + 1
-
-        window = (
-            config.restart_window
-            if config.restart_window is not None
-            else len(population.members)
-        )
-        if stall >= window and nfe < config.max_nfe:
-            members = archive.members
-            target = max(
-                math.ceil(len(members) / config.injection_ratio),
-                config.population_size,
-            )
-            del population  # free the old members before the injections arrive
-            injected = list(members)
-            while len(injected) < target and nfe < config.max_nfe:
-                base = members[int(rng.integers(len(members)))]
-                sol = evaluate(um(rng, base.genome, config.bound, config.variation), "um")
-                archive.insert(sol)
-                injected.append(sol)
-            population = _Population(injected, eps)
-            stall = 0
-    return archive
+    search = Search(config, seed)
+    while search.nfe < config.max_nfe:
+        genome, _ = search.ask()
+        search.tell(*evaluator(genome))
+    return search.archive
 
 
 def write_archive_csv(

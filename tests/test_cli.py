@@ -151,6 +151,8 @@ class TestTrain:
             ("--workers", "-3", "--workers must be an integer >= 1, got -3"),
             ("--hidden", "-1", "--hidden must be an integer >= 1, got -1"),
             ("--hidden", "0", "--hidden must be an integer >= 1, got 0"),
+            ("--seed", "1", "--seed 1 is given twice"),
+            ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
         ],
     )
     def test_bad_integer_option_exits_2_naming_it(

@@ -26,7 +26,6 @@ from chpdispatch.data import (
     _parse_prices,
     generate_synthetic,
     load_scenarios,
-    split_by_season,
     write_scenarios,
 )
 from chpdispatch.environment import HOURLY_FIELDS, HOURS_PER_DAY, Ensemble
@@ -408,27 +407,3 @@ class TestScenarioInvariants:
         reason = "must be" if np.isfinite(value) else "non-finite"
         with pytest.raises(ValueError, match=f"{field} of day 2019-01-10.*{reason}"):
             dataclasses.replace(full, **{field: values})
-
-
-class TestSeasonSplit:
-    @pytest.mark.parametrize(
-        "label,season",
-        [
-            ("2019-01-15", "winter"),
-            ("2019-04-30", "winter"),
-            ("2019-10-01", "winter"),
-            ("2019-05-01", "summer"),
-            ("2019-07-01", "summer"),
-            ("2019-09-30", "summer"),
-        ],
-    )
-    def test_month_ranges(self, label, season):
-        scenario = constant_scenario(label=label)
-        winter, summer = split_by_season(scenario)
-        chosen, other = (winter, summer) if season == "winter" else (summer, winter)
-        assert scenarios_equal(chosen, scenario) and len(other) == 0
-
-    def test_unparseable_label_rejected(self):
-        scenario = constant_scenario(label="jan-15")
-        with pytest.raises(ValueError):
-            split_by_season(scenario)

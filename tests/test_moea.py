@@ -793,6 +793,41 @@ class TestPinnedArchives:
         assert injected  # restarts happened
         assert digest == "37c4d8f67c55d50f6ab004260206509f9aaf0e333e7fef767636d1e3c1c3e0dc"
 
+    def test_restart_that_injects_nothing(self, tmp_path, monkeypatch):
+        built, injected = [], []
+        population = moea._Population
+        monkeypatch.setattr(
+            moea, "_Population", lambda *args: built.append(1) or population(*args)
+        )
+        monkeypatch.setattr(moea, "um", lambda *args: injected.append(1) or moea_um(*args))
+        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=400,
+                            population_size=2, bound=2.0, restart_window=5, injection_ratio=1.0)
+        digest = self._digest(
+            tmp_path, config, quantized_constraint, 3, ("cost", "emission", "heat_waste")
+        )
+        # Each restart's archive already fills its target, so it becomes the
+        # population with no injection.
+        assert len(built) == 46 and not injected
+        assert digest == "fe6a5788414083f9f99c4a84faaf44451803ea8115084b7d005759ba33e37709"
+
+    def test_budget_ends_inside_injections(self, tmp_path, monkeypatch):
+        evaluations, draws = [], []
+
+        def evaluator(genome):
+            evaluations.append(1)
+            return quantized_constraint(genome)
+
+        monkeypatch.setattr(
+            moea, "um", lambda *args: draws.append(len(evaluations)) or moea_um(*args)
+        )
+        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=110,
+                            population_size=10, bound=2.0, restart_window=15)
+        digest = self._digest(tmp_path, config, evaluator, 3, ("cost", "emission", "heat_waste"))
+        # The one restart starts after 92 evaluations from 13 archive members
+        # and targets 52, so the budget cuts its 39 injections at 18.
+        assert draws == list(range(92, 110))
+        assert digest == "66417422bdc885759c858599fe72306aca8e55b06fa3909b14f38f45a91d0209"
+
     @pytest.mark.parametrize(
         "season, days, nfe, digest",
         [
@@ -817,3 +852,22 @@ class TestPinnedArchives:
                             max_nfe=nfe, population_size=50)
         names = ("cost", "emission", "heat_waste")
         assert self._digest(tmp_path, config, evaluator, 2, names) == digest
+
+
+class TestSearch:
+    def test_ask_and_tell_by_hand_match_run(self):
+        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=1000,
+                            population_size=10, bound=2.0, restart_window=15)
+        search = moea.Search(config, 3)
+        tags = []
+        while search.nfe < config.max_nfe:
+            genome, tag = search.ask()
+            tags.append(tag)
+            search.tell(*quantized_constraint(genome))
+        assert tags[:10] == ["init"] * 10 and "um" in tags  # restarts happened
+        want = run(config, quantized_constraint, 3).members
+        assert len(search.archive) == len(want)
+        for got, w in zip(search.archive.members, want):
+            assert got.genome.tobytes() == w.genome.tobytes()
+            assert got.objectives.tobytes() == w.objectives.tobytes()
+            assert (got.violation, got.operator_tag) == (w.violation, w.operator_tag)
