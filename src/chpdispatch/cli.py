@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -181,6 +182,13 @@ def _at_least_one(name: str, value: int | str) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
     _at_least_one("--hidden", args.hidden)
+    # MoeaConfig checks these too, but only once the scenarios are loaded.
+    if args.population < 2:
+        raise ValueError(f"--population must be an integer >= 2, got {args.population}")
+    if args.nfe < args.population:
+        raise ValueError(f"--nfe must be at least --population ({args.population}), got {args.nfe}")
+    if not (math.isfinite(args.bound) and args.bound > 0.0):
+        raise ValueError(f"--bound must be finite and > 0, got {args.bound}")
     if args.workers is None:
         workers = _at_least_one("CHPDISPATCH_WORKERS", os.environ.get("CHPDISPATCH_WORKERS", "1"))
     else:

@@ -8,14 +8,15 @@ beats any infeasible one.  Two solutions in the same box contest it by
 Euclidean distance to the box's lower corner (in epsilon-normalized space),
 with ties kept by the incumbent.
 
-The rule is stated once, over arrays.  A solution's key is its violation
+The rule is stated over arrays.  A solution's key is its violation
 followed by its float64 box; :func:`_dominance` compares one key with a
 (1 + m, n) matrix of keys in a few array operations, and
 :func:`eps_dominates` is its one-row case.  The population and the archive
 each hold their members' keys as the columns of one matrix, in member
 order, and update one column per replacement or insert.  These matrices
 are the only place a key lives: a solution carries no epsilon state, and
-tournaments compare columns of the population's matrix.
+tournaments compare two columns of the population's matrix by
+:func:`_pair_score`, the rule's scalar form, which a test pins to it.
 
 Each offspring comes from one of six real-coded operators chosen with
 probability proportional to (archive members produced by that operator + 1),
@@ -41,10 +42,12 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
+from operator import gt, lt
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -88,7 +91,7 @@ class Solution:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.violation) and self.violation >= 0.0):
             raise ValueError(f"violation must be finite and >= 0, got {self.violation}")
-        if not np.all(np.isfinite(self.objectives)):
+        if not all(map(math.isfinite, self.objectives.tolist())):
             raise ValueError("objectives must be finite")
 
     @property
@@ -121,7 +124,7 @@ def _key(solution: Solution, epsilons: Sequence[float]) -> np.ndarray:
     is the floor of a float64 quotient (an int64 box would overflow above
     9.2e18)."""
     return np.array(
-        (solution.violation, *box_index(solution.objectives, epsilons)), dtype=float
+        (solution.violation, *box_index(solution.objectives.tolist(), epsilons)), dtype=float
     )
 
 
@@ -150,6 +153,15 @@ def eps_dominates(a: Solution, b: Solution, epsilons: Sequence[float]) -> Domina
     if score < 0.0:
         return Dominance.B_DOMINATES
     return Dominance.SAME_BOX if best == worst else Dominance.NEITHER
+
+
+def _pair_score(a: list[float], b: list[float]) -> int:
+    """The sign of :func:`_dominance`'s best + worst for two keys as lists
+    of floats: the lower violation wins outright, and equal violations
+    score (any coordinate of ``a`` lower) - (any coordinate higher)."""
+    if a[0] != b[0]:
+        return 1 if a[0] < b[0] else -1
+    return any(map(lt, a, b)) - any(map(gt, a, b))
 
 
 class EpsilonArchive:
@@ -182,6 +194,7 @@ class EpsilonArchive:
                     " or one dominates the other"
                 )
         self._counts: dict[str, int] = Counter(m.operator_tag for m in members)
+        self._cdf: list[float] | None = None
 
     @property
     def epsilons(self) -> tuple[float, ...]:
@@ -200,6 +213,12 @@ class EpsilonArchive:
     def operator_counts(self) -> dict[str, int]:
         return dict(self._counts)
 
+    def operator_cdf(self) -> list[float]:
+        """:func:`operator_cdf` of the counts, rebuilt after they change."""
+        if self._cdf is None:
+            self._cdf = operator_cdf(self._counts)
+        return self._cdf
+
     def insert(self, candidate: Solution, key: np.ndarray | None = None) -> tuple[bool, bool]:
         """Offer a candidate; ``key`` is its key under this archive's
         epsilons, for a caller that has built it already."""
@@ -209,7 +228,7 @@ class EpsilonArchive:
         key = key[:, None]
         best, worst = _dominance(key, self._keys)
         score = best + worst
-        if (score < 0.0).any():
+        if np.count_nonzero(score < 0.0):
             return False, False
         same_box = (self._keys[1:] == key[1:]).all(axis=0)
         rival = np.flatnonzero(best == worst)
@@ -233,6 +252,7 @@ class EpsilonArchive:
         self._keys = np.concatenate((self._keys, key), axis=1)
         tag = candidate.operator_tag
         self._counts[tag] = self._counts.get(tag, 0) + 1
+        self._cdf = None
         return True, not same_box.any()
 
 
@@ -254,19 +274,20 @@ def merge_archives(archives: Sequence[EpsilonArchive]) -> EpsilonArchive:
     return merged
 
 
-def select_operator(rng: np.random.Generator, archive: EpsilonArchive) -> str:
-    """Sample an operator with probability proportional to its current
-    archive membership plus one (so an empty archive gives uniform 1/6)."""
-    counts = archive.operator_counts()
+def operator_cdf(counts: dict[str, int]) -> list[float]:
+    """Operator probabilities proportional to archive count plus one (so an
+    empty archive gives uniform 1/6), cumulated and renormalized in the
+    float64 steps of ``Generator.choice``, on Python floats."""
     weights = [float(counts.get(name, 0) + 1) for name in OPERATOR_NAMES]
     total = sum(weights)  # whole numbers, so exact in any order
-    # The draw of ``rng.choice(len(OPERATOR_NAMES), p=weights / total)``,
-    # without its argument checks: one uniform against the renormalized
-    # cumulative probabilities, through the same sequence of float64
-    # operations on Python floats.  A test pins the two to the same draws.
     cdf = list(accumulate(w / total for w in weights))
-    x = rng.random()
-    return OPERATOR_NAMES[sum(c / cdf[-1] <= x for c in cdf)]
+    return [c / cdf[-1] for c in cdf]
+
+
+def select_operator(rng: np.random.Generator, archive: EpsilonArchive) -> str:
+    """``rng.choice`` over the archive's :func:`operator_cdf`, without its
+    argument checks; a test pins the two to the same draws."""
+    return OPERATOR_NAMES[bisect_right(archive.operator_cdf(), rng.random())]
 
 
 @dataclass(frozen=True)
@@ -324,13 +345,12 @@ def _tournament(rng: np.random.Generator, population: _Population, size: int) ->
     """The member left after ``size`` draws: a challenger replaces the
     incumbent if it dominates it, keeps out if the incumbent dominates it,
     and otherwise wins on a fair coin."""
-    keys = population.keys
+    keys = population.keys.T
     winner = int(rng.integers(len(population.members)))
     for _ in range(size - 1):
         challenger = int(rng.integers(len(population.members)))
-        best, worst = _dominance(keys[:, challenger], keys[:, winner])
-        score = best + worst
-        if score > 0.0 or (score == 0.0 and rng.random() < 0.5):
+        score = _pair_score(keys[challenger].tolist(), keys[winner].tolist())
+        if score > 0 or (score == 0 and rng.random() < 0.5):
             winner = challenger
     return population.members[winner]
 
@@ -345,7 +365,7 @@ def _replace_in_population(
     dominates, or of a random member when it dominates none; returns the
     member's index."""
     best, worst = _dominance(key[:, None], population.keys)
-    dominated = np.flatnonzero(best + worst > 0.0)
+    dominated = (best + worst > 0.0).nonzero()[0]
     if len(dominated):
         index = int(dominated[rng.integers(len(dominated))])
     else:
@@ -377,6 +397,7 @@ class Search:
         self.rng = np.random.default_rng(seed)
         self.archive = EpsilonArchive(config.epsilons)
         self.nfe = 0
+        self._asked: tuple[np.ndarray, str] | None = None
         self._restart()
 
     def _restart(self) -> None:
@@ -411,11 +432,15 @@ class Search:
         return genome, tag
 
     def tell(self, objectives: Sequence[float], violation: float) -> None:
-        """Take the result of the genome last asked."""
+        """Take the result of the genome last asked.  Each ``ask`` takes one
+        ``tell``; a result that is rejected leaves the ask pending."""
+        if self._asked is None:
+            raise RuntimeError("tell without a pending ask")
         config = self.config
         genome, tag = self._asked
         child = Solution(genome, np.asarray(objectives, dtype=float), float(violation), tag)
         key = _key(child, config.epsilons)
+        self._asked = None
         _, progress = self.archive.insert(child, key)
         self.nfe += 1
         if isinstance(self._population, list):

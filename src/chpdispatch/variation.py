@@ -17,6 +17,7 @@ All randomness comes from the generator handed in, so runs replay exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,23 +54,18 @@ def _polynomial_mutation(
     lo, hi = -bound, bound
     span = hi - lo
     mask = rng.random(child.size) < rate
-    if not mask.any():
+    hits = np.count_nonzero(mask)
+    if not hits:
         return child
     x = child[mask]
-    u = rng.random(x.size)
-    d1 = (x - lo) / span
-    d2 = (hi - x) / span
-    exp = 1.0 / (index + 1.0)
+    u = rng.random(hits)
     low_side = u < 0.5
-    delta = np.empty_like(x)
-    delta[low_side] = (
-        2.0 * u[low_side]
-        + (1.0 - 2.0 * u[low_side]) * (1.0 - d1[low_side]) ** (index + 1.0)
-    ) ** exp - 1.0
-    hs = ~low_side
-    delta[hs] = 1.0 - (
-        2.0 * (1.0 - u[hs]) + 2.0 * (u[hs] - 0.5) * (1.0 - d2[hs]) ** (index + 1.0)
-    ) ** exp
+    reach = np.where(low_side, x - lo, hi - x) / span
+    # Both sides share one formula in min(u, 1 - u): on the high side,
+    # 1 - 2(1 - u) is 2(u - 0.5) exactly.
+    twice = 2.0 * np.minimum(u, 1.0 - u)
+    root = (twice + (1.0 - twice) * (1.0 - reach) ** (index + 1.0)) ** (1.0 / (index + 1.0))
+    delta = np.where(low_side, root - 1.0, 1.0 - root)
     child[mask] = x + delta * span
     return child
 
@@ -86,22 +82,20 @@ def sbx(
     n = p1.size
     child = p1.copy()
     cross = (rng.random(n) < 0.5) & (np.abs(p1 - p2) > _GENE_EPS)
-    if cross.any():
-        u = rng.random(int(cross.sum()))
-        eta = settings.sbx_distribution_index
-        beta = np.where(
-            u <= 0.5,
-            (2.0 * u) ** (1.0 / (eta + 1.0)),
-            (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)),
+    crossed = np.count_nonzero(cross)
+    if crossed:
+        u = rng.random(crossed)
+        beta = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)) ** (
+            1.0 / (settings.sbx_distribution_index + 1.0)
         )
-        sign = np.where(rng.random(int(cross.sum())) < 0.5, 1.0, -1.0)
+        np.negative(beta, out=beta, where=rng.random(crossed) >= 0.5)
         a, b = p1[cross], p2[cross]
-        child[cross] = 0.5 * ((a + b) + sign * beta * (b - a))
+        child[cross] = 0.5 * ((a + b) + beta * (b - a))
     rate = settings.pm_rate if settings.pm_rate is not None else 1.0 / n
     child = _polynomial_mutation(
         rng, child, bound, settings.pm_distribution_index, rate
     )
-    return np.clip(child, -bound, bound)
+    return child.clip(-bound, bound)
 
 
 def de(
@@ -117,18 +111,17 @@ def de(
     n = base.size
     mask = rng.random(n) < settings.de_crossover
     mask[rng.integers(n)] = True
-    child = base.copy()
-    child[mask] = base[mask] + settings.de_step * (x2[mask] - x3[mask])
-    return np.clip(child, -bound, bound)
+    child = np.where(mask, base + settings.de_step * (x2 - x3), base)
+    return child.clip(-bound, bound)
 
 
 def _orthogonal_noise(
-    rng: np.random.Generator, direction: np.ndarray, scale: float
+    rng: np.random.Generator, direction: np.ndarray, norm2: float, scale: float
 ) -> np.ndarray:
     """Isotropic Gaussian restricted to the hyperplane orthogonal to
-    ``direction`` (projection trick; avoids building a full basis)."""
+    ``direction``, whose squared norm is ``norm2`` (projection trick;
+    avoids building a full basis)."""
     noise = rng.standard_normal(direction.size) * scale
-    norm2 = float(direction @ direction)
     if norm2 > 0.0:
         noise -= (noise @ direction) / norm2 * direction
     return noise
@@ -141,7 +134,7 @@ def pcx(
     settings: VariationSettings,
 ) -> np.ndarray:
     stack = np.array(parents)
-    centroid = stack.mean(axis=0)
+    centroid = stack.sum(axis=0) / len(stack)  # np.mean's arithmetic
     pick = int(rng.integers(len(parents)))
     anchor = stack[pick]
     d = anchor - centroid
@@ -152,16 +145,16 @@ def pcx(
         for p in others:
             v = p - anchor
             perp = v - (v @ d) / norm2 * d
-            dists.append(float(np.sqrt(perp @ perp)))
-        mean_dist = float(np.mean(dists))
+            dists.append(math.sqrt(perp @ perp))
+        mean_dist = float(np.add.reduce(dists)) / len(dists)  # np.mean's arithmetic
     else:
         mean_dist = float(np.mean([np.linalg.norm(p - anchor) for p in others]))
     child = (
         anchor
         + rng.standard_normal() * settings.pcx_zeta * d
-        + _orthogonal_noise(rng, d, settings.pcx_eta * mean_dist)
+        + _orthogonal_noise(rng, d, norm2, settings.pcx_eta * mean_dist)
     )
-    return np.clip(child, -bound, bound)
+    return child.clip(-bound, bound)
 
 
 def spx(
@@ -171,9 +164,9 @@ def spx(
     settings: VariationSettings,
 ) -> np.ndarray:
     stack = np.array(parents)
-    centroid = stack.mean(axis=0)
+    centroid = stack.sum(axis=0) / len(stack)  # np.mean's arithmetic
     expanded = centroid + settings.spx_expansion * (stack - centroid)
-    child = expanded[0].copy()
+    child = expanded[0]
     accum = np.zeros_like(child)
     # r_k = u^(1/k) samples uniformly over the expanded simplex and keeps
     # the children centered on the parents' centroid.
@@ -181,7 +174,7 @@ def spx(
         r = rng.random() ** (1.0 / k)
         accum = r * (expanded[k - 1] - expanded[k] + accum)
         child = expanded[k] + accum
-    return np.clip(child, -bound, bound)
+    return child.clip(-bound, bound)
 
 
 def undx(
@@ -197,17 +190,15 @@ def undx(
     if norm2 > 0.0:
         v = p3 - p1
         perp = v - (v @ d) / norm2 * d
-        span = float(np.sqrt(perp @ perp))
+        span = math.sqrt(perp @ perp)
     else:
         span = float(np.linalg.norm(p3 - p1))
     child = (
         midpoint
         + rng.standard_normal() * settings.undx_zeta * d
-        + _orthogonal_noise(
-            rng, d, settings.undx_eta / np.sqrt(p1.size) * span
-        )
+        + _orthogonal_noise(rng, d, norm2, settings.undx_eta / math.sqrt(p1.size) * span)
     )
-    return np.clip(child, -bound, bound)
+    return child.clip(-bound, bound)
 
 
 def um(
@@ -224,7 +215,7 @@ def um(
     if rate <= 0.0:
         return child
     mask = rng.random(n) < rate
-    child[mask] = rng.uniform(-bound, bound, int(mask.sum()))
+    child[mask] = rng.uniform(-bound, bound, np.count_nonzero(mask))
     return child
 
 

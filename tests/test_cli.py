@@ -100,6 +100,7 @@ class TestTrain:
                 "--scenarios", str(scenario_csv),
                 "--config", str(config),
                 "--nfe", "10",
+                "--population", "10",
                 "--out", str(tmp_path / "run"),
             ]
         )
@@ -153,6 +154,11 @@ class TestTrain:
             ("--hidden", "0", "--hidden must be an integer >= 1, got 0"),
             ("--seed", "1", "--seed 1 is given twice"),
             ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+            ("--population", "1", "--population must be an integer >= 2, got 1"),
+            ("--population", "101", "--nfe must be at least --population (101), got 100"),
+            ("--bound", "nan", "--bound must be finite and > 0, got nan"),
+            ("--bound", "-1", "--bound must be finite and > 0, got -1.0"),
+            ("--bound", "0", "--bound must be finite and > 0, got 0.0"),
         ],
     )
     def test_bad_integer_option_exits_2_naming_it(
@@ -171,6 +177,21 @@ class TestTrain:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "option, value", [("--population", "1"), ("--population", "101"), ("--bound", "nan")]
+    )
+    def test_bad_search_option_is_named_before_the_scenarios_load(
+        self, tmp_path, capsys, option, value
+    ):
+        missing = tmp_path / "missing.csv"
+        code = main(
+            ["train", "--scenarios", str(missing), option, value, "--nfe", "100",
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err and "not found" not in err
 
     def test_bad_workers_variable_exits_2_naming_it(
         self, tmp_path, scenario_csv, capsys, monkeypatch

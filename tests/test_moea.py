@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chpdispatch import moea
 from chpdispatch.batch import BatchEvaluator
@@ -436,6 +438,62 @@ class TestTournamentMatchesPairRule:
         assert set(outcomes) == set(Dominance)
 
 
+EDGE_EPS = (1.0, 0.5, 0.25)  # powers of two: multiples sit exactly on box edges
+
+
+@st.composite
+def solution_pairs(draw):
+    """Two solutions that often tie: violations from a short list, points
+    on box edges, and a second solution that may share the first's
+    violation, its objectives or its box."""
+    violations = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 2.0))
+    triple = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+    objectives = st.one_of(
+        triple.map(lambda k: np.multiply(k, EDGE_EPS)),
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array),
+    )
+    a_objectives, a_violation = draw(objectives), draw(violations)
+    case = draw(st.sampled_from(("any", "equal violations", "violation only", "same box")))
+    if case == "any":
+        b_objectives, b_violation = draw(objectives), draw(violations)
+    elif case == "equal violations":
+        b_objectives, b_violation = draw(objectives), a_violation
+    elif case == "violation only":
+        b_objectives, b_violation = a_objectives, draw(violations)
+    else:
+        fraction = draw(st.lists(st.floats(0.0, 0.99), min_size=3, max_size=3))
+        corner = np.floor(a_objectives / EDGE_EPS) * EDGE_EPS
+        b_objectives, b_violation = corner + np.multiply(fraction, EDGE_EPS), a_violation
+    return sol(a_objectives, violation=a_violation), sol(b_objectives, violation=b_violation)
+
+
+class TestPairScoreMatchesDominance:
+    """The tournament's scalar pair rule gives the sign of
+    :func:`moea._dominance`'s best + worst, for every pair of keys."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(pair=solution_pairs())
+    def test_sign_of_best_plus_worst(self, pair):
+        a, b = (moea._key(s, EDGE_EPS) for s in pair)
+        best, worst = moea._dominance(a, b)
+        assert moea._pair_score(a.tolist(), b.tolist()) == np.sign(best + worst)
+        assert moea._pair_score(b.tolist(), a.tolist()) == -np.sign(best + worst)
+
+    @pytest.mark.parametrize(
+        "a, b, score",
+        [
+            (([1.0, 0.2, 0.1], 0.5), ([0.5, 0.6, 0.1], 0.5), 0),  # equal violations, incomparable
+            (([1.0, 0.5, 0.25], 0.0), ([0.999, 0.5, 0.25], 0.0), -1),  # a box edge apart
+            (([1.0, 0.5, 0.25], 0.0), ([1.0, 0.5, 0.25], 0.5), 1),  # violation only
+            (([3.0, 0.0, 0.0], 0.25), ([0.0, 3.0, 3.0], 0.5), 1),  # violation outranks boxes
+            (([1.0, 0.5, 0.25], 0.5), ([1.9, 0.9, 0.4], 0.5), 0),  # same box
+        ],
+    )
+    def test_named_cases(self, a, b, score):
+        ka, kb = (moea._key(sol(o, violation=v), EDGE_EPS) for o, v in (a, b))
+        assert moea._pair_score(ka.tolist(), kb.tolist()) == score
+
+
 class TestBoxFollowsEpsilons:
     def test_comparisons_under_two_epsilon_vectors(self):
         a = sol([100.0, 10.0, 0.10])
@@ -538,6 +596,9 @@ class TestSelectOperator:
             def operator_counts(self):
                 return self.counts
 
+            def operator_cdf(self):
+                return moea.operator_cdf(self.counts)
+
         vectors = np.random.default_rng(5)
         for seed in range(300):
             high = (1, 5, 50, 5000)[seed % 4]
@@ -549,6 +610,31 @@ class TestSelectOperator:
                 want = OPERATOR_NAMES[int(theirs.choice(len(OPERATOR_NAMES), p=probs))]
                 assert select_operator(ours, archive) == want
             assert ours.random() == theirs.random()
+
+    def test_cached_probabilities_follow_counts_across_evictions(self):
+        """Every draw is ``rng.choice`` with the probabilities recomputed
+        from ``operator_counts()``, while inserts evict and add members."""
+        archive = EpsilonArchive((1.0, 1.0, 1.0))
+        shapes = np.random.default_rng(8)
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        evictions = 0
+        for _ in range(400):
+            before = len(archive)
+            tag = OPERATOR_NAMES[int(shapes.integers(len(OPERATOR_NAMES)))]
+            if len(archive) and shapes.random() < 0.3:  # below a member: evicts it
+                base = archive.members[int(shapes.integers(len(archive)))].objectives
+                objectives = base - shapes.uniform(0.0, 1.5, 3)
+            else:
+                objectives = shapes.uniform(0.0, 6.0, 3)
+            accepted, _ = archive.insert(sol(objectives, tag=tag))
+            evictions += accepted and len(archive) <= before
+            for _ in range(int(shapes.integers(1, 4))):
+                counts = archive.operator_counts()
+                weights = np.array([counts.get(n, 0) + 1 for n in OPERATOR_NAMES], dtype=float)
+                p = weights / weights.sum()
+                want = OPERATOR_NAMES[int(theirs.choice(len(OPERATOR_NAMES), p=p))]
+                assert select_operator(ours, archive) == want
+        assert evictions > 50
 
 
 def sphereish(genome):
@@ -871,3 +957,27 @@ class TestSearch:
             assert got.genome.tobytes() == w.genome.tobytes()
             assert got.objectives.tobytes() == w.objectives.tobytes()
             assert (got.violation, got.operator_tag) == (w.violation, w.operator_tag)
+
+    def test_tell_needs_a_pending_ask(self):
+        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=20,
+                            population_size=10)
+        search = moea.Search(config, 3)
+        with pytest.raises(RuntimeError, match="tell without a pending ask"):
+            search.tell([1.0, 1.0, 1.0], 0.0)
+        genome, _ = search.ask()
+        search.tell(*sphereish(genome))
+        with pytest.raises(RuntimeError, match="tell without a pending ask"):
+            search.tell([0.0, 0.0, 0.0], 0.0)
+        assert search.nfe == 1
+        assert len(search.archive) == 1 and search.archive.members[0].genome is genome
+
+    def test_rejected_result_leaves_the_ask_pending(self):
+        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=20,
+                            population_size=10)
+        search = moea.Search(config, 3)
+        genome, _ = search.ask()
+        with pytest.raises(ValueError, match="objectives must be finite"):
+            search.tell([np.nan, 1.0, 1.0], 0.0)
+        assert search.nfe == 0
+        search.tell(*sphereish(genome))
+        assert search.nfe == 1
