@@ -39,7 +39,6 @@ from .grid_model import (
     load_config,
 )
 from .moea import (
-    EpsilonArchive,
     MoeaConfig,
     merge_archives,
     read_archive_csv,
@@ -79,13 +78,6 @@ def _write_text(path: Path, text: str) -> str:
 
 def _write_json(path: Path, doc: dict) -> str:
     return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_archive(archive: EpsilonArchive, path: Path) -> str:
-    """Write an archive CSV; returns its sha256, read back from the file
-    that :func:`write_archive_csv` writes row by row."""
-    write_archive_csv(archive, path, OBJECTIVE_NAMES)
-    return _sha256(path.read_bytes())
 
 
 def _write_manifest(
@@ -229,7 +221,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for seed, archive in zip(seeds, archives):
         stem = out if len(seeds) == 1 else out.with_name(f"{out.name}_seed{seed}")
         csv_path = stem.with_suffix(".csv")
-        outputs[csv_path] = _write_archive(archive, csv_path)
+        outputs[csv_path] = write_archive_csv(archive, csv_path, OBJECTIVE_NAMES)
         outputs[_sidecar_path(csv_path)] = _write_json(
             _sidecar_path(csv_path),
             _sidecar_doc(config, normalization, evaluator, epsilons, [seed], args),
@@ -301,7 +293,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out.with_suffix(".csv")
-    outputs = {csv_path: _write_archive(merged, csv_path)}
+    outputs = {csv_path: write_archive_csv(merged, csv_path, OBJECTIVE_NAMES)}
     doc = dict(sidecars[0])
     doc["seeds"] = sorted({s for sc in sidecars for s in sc["seeds"]})
     doc["nfe"] = sum(sc["nfe"] for sc in sidecars if sc.get("nfe"))

@@ -21,11 +21,15 @@ tournaments compare two columns of the population's matrix by
 Each offspring comes from one of six real-coded operators chosen with
 probability proportional to (archive members produced by that operator + 1),
 so operators that fill the archive get used more, while every operator
-keeps nonzero probability.  When no insertion has claimed a previously
-empty box for a full window of evaluations, the search restarts: the
-population is rebuilt from the archive plus uniformly mutated archive
-copies and resized to max(archive size / injection ratio, the configured
-population size).
+keeps nonzero probability.  Its parents are picked by binary tournaments
+(``TOURNAMENT_SIZE``).  When no insertion has claimed a previously empty
+box for a full window of evaluations, the search restarts: the population
+is rebuilt from the archive plus uniformly mutated archive copies and
+resized to max(archive size / ``INJECTION_RATIO``, the configured
+population size).  Both constants are the Borg MOEA's (Hadka & Reed 2013,
+"Borg: an auto-adaptive many-objective evolutionary computing framework",
+Evolutionary Computation 21(2)): a tournament of 2 % of its 100-member
+population, and a population-to-archive ratio of 4 after a restart.
 
 The search is an ask/tell object, :class:`Search`, with evaluation kept
 outside it: ``ask`` returns the next genome and its operator tag, and
@@ -41,10 +45,12 @@ evaluator a (config, seed) pair always reproduces its archive exactly.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import gt, lt
@@ -53,13 +59,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .variation import (
-    OPERATOR_ARITY,
-    OPERATOR_NAMES,
-    VariationSettings,
-    um,
-    vary,
-)
+from .variation import OPERATOR_ARITY, OPERATOR_NAMES, um, vary
+
+TOURNAMENT_SIZE = 2
+INJECTION_RATIO = 0.25
 
 
 class Dominance(Enum):
@@ -294,10 +297,13 @@ def select_operator(rng: np.random.Generator, archive: EpsilonArchive) -> str:
 class MoeaConfig:
     """Run settings.  Only the epsilon vector, evaluation budget and seed
     count come from the study design; everything else is a documented
-    default of this implementation.
+    default of this implementation.  The search's fixed settings are
+    constants: ``TOURNAMENT_SIZE`` (2) and ``INJECTION_RATIO`` (0.25) here,
+    and the operators' in :mod:`chpdispatch.variation`, all from Hadka &
+    Reed 2013.
 
     ``restart_window`` of None means the current population size; restarts
-    resize the population to max(|archive| / injection_ratio,
+    resize the population to max(|archive| / INJECTION_RATIO,
     population_size).
     """
 
@@ -306,10 +312,7 @@ class MoeaConfig:
     max_nfe: int
     population_size: int = 100
     bound: float = 10.0
-    tournament_size: int = 2
     restart_window: int | None = None
-    injection_ratio: float = 0.25
-    variation: VariationSettings = field(default_factory=VariationSettings)
 
     def __post_init__(self) -> None:
         if self.genome_length < 1:
@@ -321,10 +324,6 @@ class MoeaConfig:
             raise ValueError("population_size must be >= 2")
         if not (math.isfinite(self.bound) and self.bound > 0.0):
             raise ValueError(f"bound must be finite and > 0, got {self.bound}")
-        if not 0.0 < self.injection_ratio <= 1.0:
-            raise ValueError("injection_ratio must be in (0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
         if self.restart_window is not None and self.restart_window < 1:
             raise ValueError(f"restart_window must be >= 1, got {self.restart_window}")
 
@@ -387,7 +386,7 @@ class Search:
     then at each restart: the list starts as the archive's members, and
     ``ask`` draws, without looking at any result, ``um`` copies of random
     members of that start (uniform genomes when it is empty) until the list
-    holds max(start size / injection ratio, population size) members.  The
+    holds max(start size / INJECTION_RATIO, population size) members.  The
     list then becomes the population; each child comes from the chosen
     operator's tournaments and variation and replaces a population member.
     """
@@ -406,25 +405,28 @@ class Search:
         self._population: _Population | list[Solution] = self.archive.members
         self._bases = len(self._population)
         self._target = max(
-            math.ceil(self._bases / self.config.injection_ratio),
+            math.ceil(self._bases / INJECTION_RATIO),
             self.config.population_size,
         )
         self._stall = 0
 
     def ask(self) -> tuple[np.ndarray, str]:
-        """The next genome to evaluate, and its operator tag."""
+        """The next genome to evaluate, and its operator tag.  The genome
+        asked before must have been told first."""
+        if self._asked is not None:
+            raise RuntimeError("ask with an ask pending")
         config, rng, population = self.config, self.rng, self._population
         if not isinstance(population, list):
             tag = select_operator(rng, self.archive)
             parents = [
-                _tournament(rng, population, config.tournament_size).genome
+                _tournament(rng, population, TOURNAMENT_SIZE).genome
                 for _ in range(OPERATOR_ARITY[tag])
             ]
-            genome = vary(rng, tag, parents, config.bound, config.variation)
+            genome = vary(rng, tag, parents, config.bound)
         elif self._bases:
             tag = "um"
             base = population[int(rng.integers(self._bases))]
-            genome = um(rng, base.genome, config.bound, config.variation)
+            genome = um(rng, base.genome, config.bound)
         else:
             tag = "init"
             genome = rng.uniform(-config.bound, config.bound, config.genome_length)
@@ -473,23 +475,26 @@ def write_archive_csv(
     archive: EpsilonArchive,
     path: str | Path,
     objective_names: Sequence[str] = ("cost", "emission", "heat_waste"),
-) -> None:
+) -> str:
     """One row per solution: objectives, violation, producing operator,
-    then the genome, all floats at full round-trip precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        members = archive.members
-        genome_length = len(members[0].genome) if members else 0
+    then the genome, all floats at full round-trip precision.  The file is
+    written in one write; returns the sha256 of the bytes written."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    members = archive.members
+    genome_length = len(members[0].genome) if members else 0
+    writer.writerow(
+        [*objective_names, "violation", "operator"] + [f"w{i}" for i in range(genome_length)]
+    )
+    for sol in members:
         writer.writerow(
-            [*objective_names, "violation", "operator"]
-            + [f"w{i}" for i in range(genome_length)]
+            [repr(float(o)) for o in sol.objectives]
+            + [repr(sol.violation), sol.operator_tag]
+            + [repr(float(w)) for w in sol.genome]
         )
-        for sol in members:
-            writer.writerow(
-                [repr(float(o)) for o in sol.objectives]
-                + [repr(sol.violation), sol.operator_tag]
-                + [repr(float(w)) for w in sol.genome]
-            )
+    data = buffer.getvalue().encode()
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_archive_csv(path: str | Path, epsilons: Sequence[float]) -> EpsilonArchive:

@@ -5,7 +5,7 @@ inputs always produce byte-identical files (no plotting library state or
 embedded timestamps).  Two figures are provided: pairwise scatter panels
 of an archive's objective space, and per-decision stacked bars of the
 sensitivity shares with positive and negative interactions split out,
-read hour by hour from one decision's column of the report's arrays.
+whose segment heights come from the report's arrays, one panel at a time.
 """
 
 from __future__ import annotations
@@ -149,17 +149,24 @@ def tvsa_stacked_bars_svg(report: TvsaReport, decision: int) -> str:
     (unit forced off, or nothing to attribute) stay blank.
     """
     names = report.input_names
-    empty = report.empty[:, decision].tolist()
-    norm_first = report.normalized_first[:, decision].tolist()
-    norm_second = report.normalized_second[:, decision, PAIRS[0], PAIRS[1]].tolist()
     panel_w, panel_h = 540.0, 110.0
     left, top, vgap = 60.0, 34.0, 44.0
     legend_w = 190.0
     width = left + panel_w + legend_w + 20.0
     height = top + 3 * (panel_h + vgap) + 10.0
     bar_w = panel_w / 24.0
+    bar_x = [_fmt(left + t * bar_w + 1) for t in range(24)]
+    bar_width = _fmt(bar_w - 2)
+    empty = report.empty[:, decision].tolist()
+    second = report.normalized_second[:, decision, PAIRS[0], PAIRS[1]]
+    # Each panel's (24, ·) segment heights; a segment of height <= 0 is
+    # not drawn, which leaves each interaction panel its own sign.
+    panels = (
+        ("first-order", _SIGNAL_COLORS, report.normalized_first[:, decision] * panel_h),
+        ("interaction (+)", _PAIR_COLORS, second * panel_h),
+        ("interaction (-)", _PAIR_COLORS, second * -panel_h),
+    )
 
-    titles = ("first-order", "interaction (+)", "interaction (-)")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
@@ -167,74 +174,45 @@ def tvsa_stacked_bars_svg(report: TvsaReport, decision: int) -> str:
         f'<text x="{_fmt(left)}" y="18" font-size="13" font-weight="bold">'
         f"{report.decision_labels[decision]}</text>",
     ]
-
-    def stack(values: list[tuple[str, float]], x: float, y_base: float) -> None:
-        y = y_base
-        for color, share in values:
-            h = share * panel_h
-            if h <= 0.0:
-                continue
-            parts.append(
-                f'<rect x="{_fmt(x + 1)}" y="{_fmt(y - h)}" width="{_fmt(bar_w - 2)}" '
-                f'height="{_fmt(h)}" fill="{color}"/>'
-            )
-            y -= h
-
-    for panel_index, title in enumerate(titles):
+    for panel_index, (title, colors, heights) in enumerate(panels):
         y0 = top + panel_index * (panel_h + vgap)
         y_base = y0 + panel_h
-        parts.append(
+        parts += [
             f'<rect x="{_fmt(left)}" y="{_fmt(y0)}" width="{_fmt(panel_w)}" '
-            f'height="{_fmt(panel_h)}" fill="none" stroke="#333333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(left)}" y="{_fmt(y0 - 5)}" font-size="11">{title}</text>'
-        )
-        parts.append(
+            f'height="{_fmt(panel_h)}" fill="none" stroke="#333333"/>',
+            f'<text x="{_fmt(left)}" y="{_fmt(y0 - 5)}" font-size="11">{title}</text>',
             f'<text x="{_fmt(left - 6)}" y="{_fmt(y0 + 10)}" text-anchor="end" '
-            f'font-size="9">1</text>'
-        )
-        parts.append(
+            f'font-size="9">1</text>',
             f'<text x="{_fmt(left - 6)}" y="{_fmt(y_base)}" text-anchor="end" '
-            f'font-size="9">0</text>'
-        )
-        for t in range(24):
-            if empty[t]:
+            f'font-size="9">0</text>',
+        ]
+        for x, hidden, hour in zip(bar_x, empty, heights.tolist()):
+            if hidden:
                 continue
-            if panel_index == 0:
-                values = list(zip(_SIGNAL_COLORS, norm_first[t]))
-            else:
-                want_positive = panel_index == 1
-                values = []
-                for color, share in zip(_PAIR_COLORS, norm_second[t]):
-                    if (share > 0.0) == want_positive and share != 0.0:
-                        values.append((color, abs(share)))
-            stack(values, left + t * bar_w, y_base)
+            y = y_base
+            for color, h in zip(colors, hour):
+                if h <= 0.0:
+                    continue
+                parts.append(
+                    f'<rect x="{x}" y="{y - h:.2f}" width="{bar_width}" '
+                    f'height="{h:.2f}" fill="{color}"/>'
+                )
+                y -= h
         for t in (0, 6, 12, 18, 23):
             parts.append(
                 f'<text x="{_fmt(left + (t + 0.5) * bar_w)}" y="{_fmt(y_base + 12)}" '
                 f'text-anchor="middle" font-size="8">{t}</text>'
             )
 
-    lx = left + panel_w + 16.0
-    ly = top
-    for color, name in zip(_SIGNAL_COLORS, names):
-        parts.append(
-            f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-size="9">{name}</text>'
-        )
-        ly += 15.0
-    ly += 6.0
-    for color, a, b in zip(_PAIR_COLORS, *PAIRS):
-        parts.append(
-            f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-size="9">'
-            f"{names[a]}*{names[b]}</text>"
-        )
-        ly += 15.0
+    lx, ly = left + panel_w + 16.0, top
+    pair_names = [f"{names[a]}*{names[b]}" for a, b in zip(*PAIRS)]
+    for legend in (zip(_SIGNAL_COLORS, names), zip(_PAIR_COLORS, pair_names)):
+        for color, name in legend:
+            parts += [
+                f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="10" height="10" fill="{color}"/>',
+                f'<text x="{_fmt(lx + 14)}" y="{_fmt(ly + 9)}" font-size="9">{name}</text>',
+            ]
+            ly += 15.0
+        ly += 6.0
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

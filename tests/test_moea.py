@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -720,13 +721,16 @@ class TestRun:
         with pytest.raises(ValueError):
             MoeaConfig(genome_length=4, epsilons=(0.5, -1.0), max_nfe=100)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("tournament_size", 0), ("tournament_size", -1), ("restart_window", 0), ("restart_window", -5)],
-    )
+    @pytest.mark.parametrize("field, value", [("restart_window", 0), ("restart_window", -5)])
     def test_tournament_and_restart_window_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=100, **{field: value})
+
+    def test_fields_are_the_run_settings(self):
+        # The search's fixed settings are module constants, not fields.
+        assert [f.name for f in dataclasses.fields(MoeaConfig)] == [
+            "genome_length", "epsilons", "max_nfe", "population_size", "bound", "restart_window",
+        ]  # fmt: skip
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("-inf"), float("nan")])
     def test_bound_must_be_finite_and_positive(self, value):
@@ -758,9 +762,10 @@ class TestArchiveCsv:
                             population_size=20, bound=2.0)
         archive = run(config, sphereish, seed=13)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_archive_csv(archive, p1)
-        write_archive_csv(archive, p2)
+        digest = write_archive_csv(archive, p1)
+        assert write_archive_csv(archive, p2) == digest
         assert p1.read_bytes() == p2.read_bytes()
+        assert digest == hashlib.sha256(p1.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize(
         "rows, pair",
@@ -879,23 +884,6 @@ class TestPinnedArchives:
         assert injected  # restarts happened
         assert digest == "37c4d8f67c55d50f6ab004260206509f9aaf0e333e7fef767636d1e3c1c3e0dc"
 
-    def test_restart_that_injects_nothing(self, tmp_path, monkeypatch):
-        built, injected = [], []
-        population = moea._Population
-        monkeypatch.setattr(
-            moea, "_Population", lambda *args: built.append(1) or population(*args)
-        )
-        monkeypatch.setattr(moea, "um", lambda *args: injected.append(1) or moea_um(*args))
-        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=400,
-                            population_size=2, bound=2.0, restart_window=5, injection_ratio=1.0)
-        digest = self._digest(
-            tmp_path, config, quantized_constraint, 3, ("cost", "emission", "heat_waste")
-        )
-        # Each restart's archive already fills its target, so it becomes the
-        # population with no injection.
-        assert len(built) == 46 and not injected
-        assert digest == "fe6a5788414083f9f99c4a84faaf44451803ea8115084b7d005759ba33e37709"
-
     def test_budget_ends_inside_injections(self, tmp_path, monkeypatch):
         evaluations, draws = [], []
 
@@ -970,6 +958,20 @@ class TestSearch:
             search.tell([0.0, 0.0, 0.0], 0.0)
         assert search.nfe == 1
         assert len(search.archive) == 1 and search.archive.members[0].genome is genome
+
+    def test_ask_needs_the_last_ask_told(self):
+        config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=20,
+                            population_size=10)
+        search = moea.Search(config, 3)
+        genome, _ = search.ask()
+        state = search.rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="ask with an ask pending"):
+            search.ask()
+        assert search.rng.bit_generator.state == state  # nothing was drawn
+        search.tell(*sphereish(genome))
+        assert search.nfe == 1 and search.archive.members[0].genome is genome
+        second, _ = search.ask()
+        assert second is not genome
 
     def test_rejected_result_leaves_the_ask_pending(self):
         config = MoeaConfig(genome_length=4, epsilons=(0.5, 0.5, 0.5), max_nfe=20,

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from chpdispatch import variation
 from chpdispatch.variation import (
     OPERATOR_ARITY,
     OPERATOR_NAMES,
-    VariationSettings,
+    _polynomial_mutation,
     vary,
 )
 
@@ -17,16 +18,11 @@ L = 12
 
 
 class TestFixedPoints:
-    def test_um_with_zero_rate_copies_parent(self):
-        rng = np.random.default_rng(0)
-        parent = rng.uniform(-B, B, L)
-        child = vary(rng, "um", [parent], B, VariationSettings(um_rate=0.0))
-        assert np.array_equal(child, parent)
-
-    def test_sbx_identical_parents_without_mutation(self):
+    def test_sbx_identical_parents_without_mutation(self, monkeypatch):
+        monkeypatch.setattr(variation, "_polynomial_mutation", lambda rng, child, *_: child)
         rng = np.random.default_rng(1)
         parent = rng.uniform(-B, B, L)
-        child = vary(rng, "sbx", [parent, parent.copy()], B, VariationSettings(pm_rate=0.0))
+        child = vary(rng, "sbx", [parent, parent.copy()], B)
         assert np.array_equal(child, parent)
 
     def test_multiparent_operators_collapse_on_identical_parents(self):
@@ -65,8 +61,19 @@ class TestBounds:
         base = np.full(L, B)
         x2 = np.full(L, B)
         x3 = np.full(L, -B)
-        child = vary(rng, "de", [base, x2, x3], B, VariationSettings(de_crossover=1.0))
-        assert np.all(child == B)  # base + 0.5*(2B) clipped back to B
+        child = vary(rng, "de", [base, x2, x3], B)
+        # Crossed genes are base + 0.5*(2B), clipped back to B; the others
+        # are the base's, already at B.
+        assert np.all(child == B)
+
+    def test_polynomial_mutation_of_genes_outside_the_box(self):
+        # SBX can leave a gene outside the box before mutation; a gene at
+        # 4 bounds out gives a negative base on the side away from it.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            genes = np.tile([4.0 * B, -4.0 * B, 3.0 * B, -1.5 * B], 3)
+            child = _polynomial_mutation(rng, genes, B, variation.PM_INDEX, 1.0)
+            assert np.all(np.isfinite(child)), seed
 
 
 class TestStatistics:
@@ -111,7 +118,8 @@ class TestStatistics:
         draws = 5_000
         changed = 0
         for _ in range(draws):
-            child = vary(rng, "um", [parent], B, VariationSettings(um_rate=0.25))
+            child = vary(rng, "um", [parent], B)
             changed += int((child != parent).sum())
         rate = changed / (draws * L)
-        assert abs(rate - 0.25) < 0.02
+        # 1/L, with a standard error of about 0.0011 over 60 000 genes
+        assert abs(rate - 1.0 / L) < 0.005
