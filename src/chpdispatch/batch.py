@@ -30,6 +30,7 @@ import numpy as np
 from .environment import HOURS_PER_DAY, Ensemble, day_objectives, decision_dim, dispatch
 from .grid_model import MicrogridConfig
 from .policy import (
+    DEFAULT_HIDDEN_DIM,
     InputNormalization,
     forward_columns,
     forward_workspace,
@@ -66,7 +67,7 @@ class BatchEvaluator:
         scenarios: Ensemble,
         config: MicrogridConfig,
         normalization: InputNormalization,
-        hidden_dim: int = 15,
+        hidden_dim: int = DEFAULT_HIDDEN_DIM,
     ):
         self.config = config
         self.hidden_dim = hidden_dim

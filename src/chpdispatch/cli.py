@@ -6,6 +6,13 @@ tool version, argument values, and SHA-256 digests of all input and output
 files.  Data outputs (archive CSVs, sidecars, traces, SVGs) are
 byte-reproducible on rerun; only the manifest's wall-clock field varies.
 
+Each input has one way in.  Every archive CSV is read with its sidecar
+by ``_read_archive``, and ``evaluate`` and ``tvsa`` share one set-up,
+``_analysis_inputs``: the policy is an archive row or a ``--policy``
+artifact, and ``--config`` goes only with the latter.  ``merge`` rejects
+inputs that share a seed.  ``train --workers`` (default 1) alone sets the
+process count.
+
 Exit codes: 0 success, 2 usage or input error, 1 unexpected failure.
 """
 
@@ -30,7 +37,14 @@ import numpy as np
 from . import __version__
 from .batch import BatchEvaluator
 from .data import ScenarioLoadError, load_scenarios
-from .environment import day_objectives, decision_dim, decision_names, dispatch, export_trace
+from .environment import (
+    Ensemble,
+    day_objectives,
+    decision_dim,
+    decision_names,
+    dispatch,
+    export_trace,
+)
 from .grid_model import (
     MicrogridConfig,
     config_from_dict,
@@ -39,6 +53,7 @@ from .grid_model import (
     load_config,
 )
 from .moea import (
+    EpsilonArchive,
     MoeaConfig,
     merge_archives,
     read_archive_csv,
@@ -61,7 +76,7 @@ DEFAULT_EPSILONS = (10.0, 1.0, 0.01)
 #: Sidecar keys that a command reading an archive relies on.
 SIDECAR_KEYS = (
     "epsilons", "normalization", "microgrid_config", "hidden_dim", "genome_length",
-    "decision_names", "seeds",
+    "decision_names", "seeds", "nfe",
 )  # fmt: skip
 
 
@@ -117,27 +132,42 @@ def _sidecar_path(archive_csv: Path) -> Path:
     return archive_csv.with_suffix(".json")
 
 
-def _load_sidecar(archive_csv: Path) -> dict:
-    """The sidecar of an archive CSV; rejects one that is not a JSON object,
-    lacks a key that ``merge``, ``evaluate``, ``tvsa`` or ``report`` reads,
-    or holds epsilons that are not a list of positive finite numbers."""
-    sidecar = _sidecar_path(archive_csv)
+def _read_archive(path: Path) -> tuple[EpsilonArchive, dict]:
+    """An archive CSV and its sidecar, the one way every command reads them.
+    Rejects a sidecar that is not a JSON object, lacks a key that ``merge``,
+    ``evaluate``, ``tvsa`` or ``report`` reads, or holds epsilons that are
+    not a list of positive finite numbers, seeds that are not a non-empty
+    list of distinct integers >= 0, or an nfe that is not an integer >= 1."""
+    if not path.exists():
+        raise FileNotFoundError(f"archive not found: {path}")
+    sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise FileNotFoundError(f"archive sidecar not found: {sidecar}")
+
+    def malformed(what: object) -> ValueError:
+        return ValueError(f"malformed archive sidecar {sidecar}: {what}")
+
     try:
         doc = json.loads(sidecar.read_text())
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed archive sidecar {sidecar}: {exc}") from exc
+        raise malformed(exc) from exc
     if not isinstance(doc, dict):
-        raise ValueError(f"malformed archive sidecar {sidecar}: not a JSON object")
+        raise malformed("not a JSON object")
     for key in SIDECAR_KEYS:
         if key not in doc:
-            raise ValueError(f"malformed archive sidecar {sidecar}: missing {key!r}")
+            raise malformed(f"missing {key!r}")
     try:
-        validate_epsilons(doc["epsilons"])
+        epsilons = validate_epsilons(doc["epsilons"])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed archive sidecar {sidecar}: epsilons: {exc}") from exc
-    return doc
+        raise malformed(f"epsilons: {exc}") from exc
+    seeds, nfe = doc["seeds"], doc["nfe"]
+    # ``type(s) is int`` rejects JSON true and false, which are ints to isinstance.
+    whole = isinstance(seeds, list) and all(type(s) is int and s >= 0 for s in seeds)
+    if not (whole and 0 < len(seeds) == len(set(seeds))):
+        raise malformed(f"seeds must be a non-empty list of distinct integers >= 0, got {seeds!r}")
+    if not (type(nfe) is int and nfe >= 1):
+        raise malformed(f"nfe must be an integer >= 1, got {nfe!r}")
+    return read_archive_csv(path, epsilons), doc
 
 
 def _parse_epsilons(text: str) -> tuple[float, ...]:
@@ -160,15 +190,9 @@ def _parse_reference(text: str) -> list[float]:
     return values
 
 
-def _at_least_one(name: str, value: int | str) -> int:
-    """``value`` as an integer >= 1; rejects anything else, naming ``name``."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return number
+def _at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -181,10 +205,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"--nfe must be at least --population ({args.population}), got {args.nfe}")
     if not (math.isfinite(args.bound) and args.bound > 0.0):
         raise ValueError(f"--bound must be finite and > 0, got {args.bound}")
-    if args.workers is None:
-        workers = _at_least_one("CHPDISPATCH_WORKERS", os.environ.get("CHPDISPATCH_WORKERS", "1"))
-    else:
-        workers = _at_least_one("--workers", args.workers)
+    _at_least_one("--workers", args.workers)
     seeds = args.seed if args.seed else [0]
     for i, seed in enumerate(seeds):
         if seed < 0:
@@ -206,11 +227,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         bound=args.bound,
     )
 
-    if workers > 1 and len(seeds) > 1:
+    if args.workers > 1 and len(seeds) > 1:
         # Imported here: multiprocessing costs every other command's start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             archives = list(pool.map(run, repeat(moea_config), repeat(evaluator), seeds))
     else:
         archives = [run(moea_config, evaluator, s) for s in seeds]
@@ -218,14 +239,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     outputs: dict[Path, str] = {}
+    # Every seed's sidecar but for its "seeds".
+    sidecar = {
+        "objective_names": list(OBJECTIVE_NAMES),
+        "epsilons": list(epsilons),
+        "nfe": args.nfe,
+        "population_size": args.population,
+        "bound": args.bound,
+        "hidden_dim": args.hidden,
+        "genome_length": evaluator.genome_length,
+        "decision_names": decision_names(config),
+        "normalization": {
+            "offsets": list(normalization.offsets),
+            "scales": list(normalization.scales),
+        },
+        "microgrid_config": config_to_dict(config),
+    }
     for seed, archive in zip(seeds, archives):
         stem = out if len(seeds) == 1 else out.with_name(f"{out.name}_seed{seed}")
         csv_path = stem.with_suffix(".csv")
         outputs[csv_path] = write_archive_csv(archive, csv_path, OBJECTIVE_NAMES)
-        outputs[_sidecar_path(csv_path)] = _write_json(
-            _sidecar_path(csv_path),
-            _sidecar_doc(config, normalization, evaluator, epsilons, [seed], args),
-        )
+        sidecar_path = _sidecar_path(csv_path)
+        outputs[sidecar_path] = _write_json(sidecar_path, {**sidecar, "seeds": [seed]})
         feasible = sum(1 for m in archive if m.feasible)
         print(f"seed {seed}: archive size {len(archive)}, feasible {feasible}")
     _write_manifest(
@@ -248,55 +283,34 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sidecar_doc(
-    config: MicrogridConfig,
-    normalization: InputNormalization,
-    evaluator: BatchEvaluator,
-    epsilons: tuple[float, ...],
-    seeds: list[int],
-    args: argparse.Namespace,
-) -> dict:
-    return {
-        "objective_names": list(OBJECTIVE_NAMES),
-        "epsilons": list(epsilons),
-        "seeds": seeds,
-        "nfe": args.nfe,
-        "population_size": args.population,
-        "bound": args.bound,
-        "hidden_dim": args.hidden,
-        "genome_length": evaluator.genome_length,
-        "decision_names": decision_names(config),
-        "normalization": {
-            "offsets": list(normalization.offsets),
-            "scales": list(normalization.scales),
-        },
-        "microgrid_config": config_to_dict(config),
-    }
-
-
 def _cmd_merge(args: argparse.Namespace) -> int:
     started = time.monotonic()
     paths = [Path(p) for p in args.archives]
-    for p in paths:
-        if not p.exists():
-            raise FileNotFoundError(f"archive not found: {p}")
-    sidecars = [_load_sidecar(p) for p in paths]
-    epsilons = tuple(sidecars[0]["epsilons"])
+    archives, sidecars = zip(*(_read_archive(p) for p in paths))
     for p, sc in zip(paths[1:], sidecars[1:]):
-        if tuple(sc["epsilons"]) != epsilons:
+        if sc["epsilons"] != sidecars[0]["epsilons"]:
             raise ValueError(f"{p}: epsilon vector differs from {paths[0]}")
         for key in ("normalization", "microgrid_config", "hidden_dim", "genome_length"):
             if sc[key] != sidecars[0][key]:
                 raise ValueError(f"{p}: {key} differs from {paths[0]}; archives are incompatible")
-    merged = merge_archives([read_archive_csv(p, epsilons) for p in paths])
+    source_of: dict[int, Path] = {}
+    for p, sc in zip(paths, sidecars):
+        for seed in sc["seeds"]:
+            if seed in source_of:
+                raise ValueError(
+                    f"seed {seed} is in both {source_of[seed]} and {p}; "
+                    "merging them would count its evaluations twice"
+                )
+            source_of[seed] = p
+    merged = merge_archives(archives)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out.with_suffix(".csv")
     outputs = {csv_path: write_archive_csv(merged, csv_path, OBJECTIVE_NAMES)}
     doc = dict(sidecars[0])
-    doc["seeds"] = sorted({s for sc in sidecars for s in sc["seeds"]})
-    doc["nfe"] = sum(sc["nfe"] for sc in sidecars if sc.get("nfe"))
+    doc["seeds"] = sorted(source_of)
+    doc["nfe"] = sum(sc["nfe"] for sc in sidecars)
     # Relative to the merged archive, so that its sidecar's bytes do not
     # depend on where the archives lie or how they were named.
     doc["merged_from"] = [
@@ -315,47 +329,51 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_from_args(
+def _analysis_inputs(
     args: argparse.Namespace,
-) -> tuple[PolicyNetwork, MicrogridConfig, list[Path]]:
-    """Resolve the policy and microgrid config from either an archive row
-    or a standalone policy artifact."""
+) -> tuple[Ensemble, PolicyNetwork, MicrogridConfig, list[Path], dict]:
+    """What ``evaluate`` and ``tvsa`` share: the scenarios, the policy and
+    its plant config, the input files and the arguments of the manifest.
+    The policy is an archive row, whose sidecar holds the plant config, or
+    a standalone artifact with the plant of ``--config``."""
+    if (args.archive is None) == (args.policy is None):
+        raise ValueError("provide exactly one of --archive or --policy")
+    if args.archive is not None and args.config is not None:
+        raise ValueError("--config applies to --policy only; an archive's sidecar holds its config")
+    scenarios_path = Path(args.scenarios)
+    scenarios = load_scenarios(scenarios_path)
     if args.archive is not None:
         archive_path = Path(args.archive)
-        if not archive_path.exists():
-            raise FileNotFoundError(f"archive not found: {archive_path}")
-        sidecar_path = _sidecar_path(archive_path)
-        sidecar = _load_sidecar(archive_path)
-        members = read_archive_csv(archive_path, tuple(sidecar["epsilons"])).members
-        if not 0 <= args.row < len(members):
-            raise ValueError(f"row {args.row} out of range for archive of {len(members)}")
+        archive, sidecar = _read_archive(archive_path)
+        if not 0 <= args.row < len(archive):
+            raise ValueError(f"row {args.row} out of range for archive of {len(archive)}")
+        inputs = [archive_path, _sidecar_path(archive_path)]
         config = config_from_dict(sidecar["microgrid_config"])
-        policy = policy_from_doc(
-            sidecar, f"archive sidecar {sidecar_path}", members[args.row].genome
-        )
-        return policy, config, [archive_path, sidecar_path]
-    policy_path = Path(args.policy)
-    if not policy_path.exists():
-        raise FileNotFoundError(f"policy artifact not found: {policy_path}")
-    policy = load_policy(policy_path)
-    config, config_inputs = _resolve_config(args.config)
-    return policy, config, [policy_path, *config_inputs]
-
-
-def _check_architecture(policy: PolicyNetwork, config: MicrogridConfig) -> None:
+        genome = archive.members[args.row].genome
+        policy = policy_from_doc(sidecar, f"archive sidecar {inputs[1]}", genome)
+    else:
+        policy_path = Path(args.policy)
+        if not policy_path.exists():
+            raise FileNotFoundError(f"policy artifact not found: {policy_path}")
+        policy = load_policy(policy_path)
+        config, config_inputs = _resolve_config(args.config)
+        inputs = [policy_path, *config_inputs]
     expected = decision_dim(config)
     if policy.output_dim != expected:
-        raise ValueError(
-            f"policy has {policy.output_dim} outputs but the config needs {expected}"
-        )
+        raise ValueError(f"policy has {policy.output_dim} outputs but the config needs {expected}")
+    arguments = {
+        "scenarios": str(scenarios_path),
+        "archive": args.archive,
+        "row": args.row,
+        "policy": args.policy,
+        "config": args.config,
+    }
+    return scenarios, policy, config, [scenarios_path, *inputs], arguments
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    scenarios_path = Path(args.scenarios)
-    scenarios = load_scenarios(scenarios_path)
-    policy, config, inputs = _policy_from_args(args)
-    _check_architecture(policy, config)
+    scenarios, policy, config, inputs, arguments = _analysis_inputs(args)
 
     trace = dispatch(policy.forward(scenarios.policy_inputs()), scenarios, config)
     day_obj, day_violation = day_objectives(trace)
@@ -372,34 +390,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     for s, label in enumerate(scenarios.labels):
         trace_path = out / f"trace_{label}.csv"
         outputs[trace_path] = export_trace(trace, s, trace_path)
-    print(
-        "cost={!r} emission={!r} heat_waste={!r} violation={!r}".format(
-            float(objectives[0]), float(objectives[1]), float(objectives[2]), violation
-        )
-    )
-    _write_manifest(
-        out / "manifest.json",
-        "evaluate",
-        {
-            "scenarios": str(scenarios_path),
-            "archive": args.archive,
-            "row": args.row,
-            "policy": args.policy,
-            "config": args.config,
-        },
-        [scenarios_path, *inputs],
-        outputs,
-        started,
-    )
+    print(" ".join(f"{name}={value!r}" for name, value in doc.items()))
+    _write_manifest(out / "manifest.json", "evaluate", arguments, inputs, outputs, started)
     return 0
 
 
 def _cmd_tvsa(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    scenarios_path = Path(args.scenarios)
-    scenarios = load_scenarios(scenarios_path)
-    policy, config, inputs = _policy_from_args(args)
-    _check_architecture(policy, config)
+    scenarios, policy, config, inputs, arguments = _analysis_inputs(args)
 
     report = build_report(
         policy, scenarios, gradient_at=args.gradient_at.replace("-", "_"), config=config
@@ -411,21 +409,8 @@ def _cmd_tvsa(args: argparse.Namespace) -> int:
     for d, label in enumerate(report.decision_labels):
         svg_path = out / f"tvsa_{label}.svg"
         outputs[svg_path] = _write_text(svg_path, tvsa_stacked_bars_svg(report, d))
-    _write_manifest(
-        out / "manifest.json",
-        "tvsa",
-        {
-            "scenarios": str(scenarios_path),
-            "archive": args.archive,
-            "row": args.row,
-            "policy": args.policy,
-            "config": args.config,
-            "gradient_at": args.gradient_at,
-        },
-        [scenarios_path, *inputs],
-        outputs,
-        started,
-    )
+    arguments["gradient_at"] = args.gradient_at
+    _write_manifest(out / "manifest.json", "tvsa", arguments, inputs, outputs, started)
     print(f"wrote TVSA for {len(report.decision_labels)} decisions to {out}")
     return 0
 
@@ -433,11 +418,7 @@ def _cmd_tvsa(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     started = time.monotonic()
     archive_path = Path(args.archive)
-    if not archive_path.exists():
-        raise FileNotFoundError(f"archive not found: {archive_path}")
-    sidecar = _load_sidecar(archive_path)
-    archive = read_archive_csv(archive_path, tuple(sidecar["epsilons"]))
-    members = archive.members
+    members = _read_archive(archive_path)[0].members
     if not members:
         raise ValueError(f"{archive_path}: archive is empty")
     reference = None if args.reference is None else _parse_reference(args.reference)
@@ -498,12 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--bound", type=float, default=10.0, help="weight search half-width")
     train.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN_DIM)
-    train.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process count for multi-seed runs (default: CHPDISPATCH_WORKERS or 1)",
-    )
+    train.add_argument("--workers", type=int, default=1, help="process count for multi-seed runs")
     train.add_argument("--out", required=True, help="output path prefix")
     train.set_defaults(func=_cmd_train)
 
@@ -548,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("evaluate", "tvsa"):
-        if (args.archive is None) == (args.policy is None):
-            print("error: provide exactly one of --archive or --policy", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -29,8 +29,6 @@ import numpy as np
 
 from .environment import Ensemble
 
-#: Search box half-width for policy weights; sigmoids saturate well inside.
-DEFAULT_WEIGHT_BOUND = 10.0
 DEFAULT_HIDDEN_DIM = 15
 HOUR_SCALE = 23.0
 

@@ -193,22 +193,6 @@ class TestTrain:
         err = capsys.readouterr().err
         assert option in err and "not found" not in err
 
-    def test_bad_workers_variable_exits_2_naming_it(
-        self, tmp_path, scenario_csv, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("CHPDISPATCH_WORKERS", "two")
-        code = main(
-            [
-                "train",
-                "--scenarios", str(scenario_csv),
-                "--nfe", "100",
-                "--out", str(tmp_path / "run"),
-            ]
-        )
-        assert code == 2
-        assert "CHPDISPATCH_WORKERS must be an integer >= 1, got 'two'" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
     def test_import_leaves_multiprocessing_unloaded(self):
         # Only a multi-worker train needs the process pool; every other
         # command would pay for importing multiprocessing at start-up.
@@ -332,6 +316,24 @@ class TestMerge:
         )
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    def test_shared_seed_exits_2_naming_it_and_both_files(
+        self, tmp_path, scenario_csv, trained, capsys
+    ):
+        """A seed in two inputs would count its NFE twice in the sidecar."""
+        second = tmp_path / "second"
+        assert main(
+            ["train", "--scenarios", str(scenario_csv), "--nfe", "40", "--population", "20",
+             "--seed", "2", "--out", str(second)]
+        ) == 0  # fmt: skip
+        joint = tmp_path / "joint"
+        runs = [str(trained), str(second.with_suffix(".csv"))]
+        assert main(["merge", *runs, "--out", str(joint)]) == 0
+        for first, again in ((trained, trained), (joint.with_suffix(".csv"), trained)):
+            out = tmp_path / "again"
+            assert main(["merge", str(first), str(again), "--out", str(out)]) == 2
+            assert f"seed 1 is in both {first} and {again}" in capsys.readouterr().err
+            assert not out.with_suffix(".csv").exists()
 
 
 class TestEvaluate:
@@ -540,6 +542,16 @@ class TestPolicySourceValidation:
         assert "provide exactly one of --archive or --policy" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_with_archive_exits_2(self, tmp_path, scenario_csv, trained, capsys, command):
+        """An archive's sidecar holds its plant; a --config beside it would be ignored."""
+        config = tmp_path / "summer.json"
+        save_config(default_config("summer"), config)
+        out = tmp_path / "out"
+        source = ["--archive", str(trained), "--config", str(config)]
+        assert self.run(command, scenario_csv, source, out) == 2
+        assert "--config applies to --policy only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_artifact_weight_exits_2_naming_it(
         self, tmp_path, scenario_csv, capsys, command
     ):
@@ -636,6 +648,34 @@ class TestSidecarKeys:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seeds", 3), ("seeds", []), ("seeds", [1, 1]), ("seeds", [-1]), ("seeds", ["1"]),
+            ("seeds", [True]), ("nfe", "x"), ("nfe", 0), ("nfe", 1.5),
+        ],
+        ids=str,
+    )  # fmt: skip
+    @pytest.mark.parametrize("command", ["merge", "report"])
+    def test_malformed_seeds_or_nfe_exit_2_naming_the_sidecar(
+        self, tmp_path, trained, capsys, command, key, value
+    ):
+        def edit(sidecar):
+            sidecar[key] = value
+
+        archive = copy_archive(trained, tmp_path, edit_sidecar=edit)
+        out = tmp_path / "out"
+        inputs = [str(archive)] if command == "merge" else ["--archive", str(archive)]
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        rule = {
+            "seeds": "a non-empty list of distinct integers >= 0",
+            "nfe": "an integer >= 1",
+        }[key]
+        message = f"{key} must be {rule}, got {value!r}"
+        sidecar = archive.with_suffix(".json")
+        assert f"error: malformed archive sidecar {sidecar}: {message}" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [("5", "not a JSON object"), ("{", "Expecting property name enclosed in double quotes")],
     )
@@ -667,6 +707,104 @@ class TestSidecarKeys:
             capsys.readouterr().err
         )
         assert not out.exists() and not out.with_suffix(".csv").exists()
+
+
+def manifest_pin(path):
+    """A manifest's command, its arguments and the files it hashes as inputs."""
+    doc = json.loads(path.read_text())
+    return doc["command"], doc["arguments"], set(doc["input_digests"])
+
+
+class TestManifestPins:
+    """Every command records the same arguments and input files."""
+
+    def test_train(self, tmp_path, scenario_csv):
+        config = tmp_path / "plant.json"
+        save_config(default_config("winter"), config)
+        base = ["train", "--scenarios", str(scenario_csv), "--nfe", "40", "--population", "20"]
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main([*base, "--seed", "3", "--out", str(one)]) == 0
+        assert main(
+            [
+                *base, "--config", str(config), "--seed", "1", "--seed", "2",
+                "--epsilons", "5,1,0.1", "--bound", "4", "--hidden", "3", "--out", str(two),
+            ]
+        ) == 0  # fmt: skip
+        settings = {"scenarios": str(scenario_csv), "nfe": 40, "population": 20}
+        assert manifest_pin(one.with_suffix(".manifest.json")) == (
+            "train",
+            {
+                **settings, "config": None, "seeds": [3],
+                "epsilons": [10.0, 1.0, 0.01], "bound": 10.0, "hidden": 15,
+            },
+            {str(scenario_csv)},
+        )  # fmt: skip
+        assert manifest_pin(two.with_suffix(".manifest.json")) == (
+            "train",
+            {
+                **settings, "config": str(config), "seeds": [1, 2],
+                "epsilons": [5.0, 1.0, 0.1], "bound": 4.0, "hidden": 3,
+            },
+            {str(scenario_csv), str(config)},
+        )  # fmt: skip
+
+    def test_merge(self, tmp_path, scenario_csv, trained):
+        second = tmp_path / "second"
+        assert main(
+            ["train", "--scenarios", str(scenario_csv), "--nfe", "40", "--population", "20",
+             "--seed", "2", "--out", str(second)]
+        ) == 0  # fmt: skip
+        archives = [str(trained), str(second.with_suffix(".csv"))]
+        joint = tmp_path / "joint"
+        assert main(["merge", *archives, "--out", str(joint)]) == 0
+        assert manifest_pin(joint.with_suffix(".manifest.json")) == (
+            "merge",
+            {"archives": archives},
+            {*archives, str(trained.with_suffix(".json")), str(second.with_suffix(".json"))},
+        )
+
+    @pytest.mark.parametrize("mode", ["archive", "policy"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("evaluate", {}),
+            ("tvsa", {"gradient_at": "mean"}),
+            ("tvsa", {"gradient_at": "per-scenario"}),
+        ],
+    )
+    def test_analysis(self, tmp_path, scenario_csv, trained, command, extra, mode):
+        if mode == "archive":
+            source = ["--archive", str(trained), "--row", "0"]
+            arguments = {"archive": str(trained), "row": 0, "policy": None, "config": None}
+            inputs = {str(trained), str(trained.with_suffix(".json"))}
+        else:
+            artifact, config = tmp_path / "policy.json", tmp_path / "plant.json"
+            norm = InputNormalization(offsets=(0.0,) * 6, scales=(1.0,) * 6)
+            save_policy(PolicyNetwork(6, 15, 5, np.zeros(185), norm), artifact)
+            save_config(default_config("winter"), config)
+            source = ["--policy", str(artifact), "--config", str(config)]
+            arguments = {"archive": None, "row": 0, "policy": str(artifact), "config": str(config)}
+            inputs = {str(artifact), str(config)}
+        if "gradient_at" in extra:
+            source += ["--gradient-at", extra["gradient_at"]]
+        out = tmp_path / "out"
+        assert main([command, "--scenarios", str(scenario_csv), *source, "--out", str(out)]) == 0
+        assert manifest_pin(out / "manifest.json") == (
+            command,
+            {"scenarios": str(scenario_csv), **arguments, **extra},
+            {str(scenario_csv), *inputs},
+        )
+
+    @pytest.mark.parametrize("reference", [None, "33000,690,24"])
+    def test_report(self, tmp_path, trained, reference):
+        out = tmp_path / "report"
+        overlay = [] if reference is None else ["--reference", reference]
+        assert main(["report", "--archive", str(trained), *overlay, "--out", str(out)]) == 0
+        assert manifest_pin(out / "manifest.json") == (
+            "report",
+            {"archive": str(trained), "reference": reference},
+            {str(trained), str(trained.with_suffix(".json"))},
+        )
 
 
 class TestReport:
